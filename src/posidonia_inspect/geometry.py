@@ -338,29 +338,31 @@ def _has_spread(pts: np.ndarray) -> bool:
 class ExploredMap:
     """Accumulated exploration cloud with its alpha-shape coverage polygons.
 
-    polygons = alpha shape of the point cloud plus any committed regions
-    (closed boundary rings adopted wholesale).  Coverage of every recorded
-    point requires alpha to be comparable to the local point spacing; widely
-    separated lone points fall outside all polygons.
+    polygons = alpha_rings, the alpha shape of the point cloud, followed by
+    committed_regions, closed boundary rings adopted wholesale.  Coverage of
+    every recorded point requires alpha to be comparable to the local point
+    spacing; widely separated lone points fall outside all polygons.
     """
 
     alpha: float
     points: tuple[tuple[float, float], ...] = ()
-    polygons: tuple[Polygon, ...] = ()
+    alpha_rings: tuple[Polygon, ...] = ()
     committed_regions: tuple[Polygon, ...] = ()
 
     def __post_init__(self) -> None:
         if not (self.alpha > 0.0) or not math.isfinite(self.alpha):
             raise ValueError("alpha must be a positive finite number")
 
+    @property
+    def polygons(self) -> tuple[Polygon, ...]:
+        return self.alpha_rings + self.committed_regions
+
     def add_region(self, region: Polygon) -> "ExploredMap":
-        committed = self.committed_regions + (region,)
-        return replace(self, committed_regions=committed,
-                       polygons=self.polygons + (region,))
+        return replace(self, committed_regions=self.committed_regions + (region,))
 
 
 def record_exploration(explored: ExploredMap, surface_points, bottom_point) -> ExploredMap:
-    """Append surface samples and a projected bottom point, rebuild polygons."""
+    """Append surface samples and a projected bottom point, rebuild alpha_rings."""
     added = [(float(x), float(y)) for x, y in surface_points]
     bx, by = bottom_point
     added.append((float(bx), float(by)))
@@ -370,8 +372,7 @@ def record_exploration(explored: ExploredMap, surface_points, bottom_point) -> E
         rebuilt = tuple(alpha_shape(cloud, explored.alpha))
     else:
         rebuilt = ()
-    return replace(explored, points=points,
-                   polygons=rebuilt + explored.committed_regions)
+    return replace(explored, points=points, alpha_rings=rebuilt)
 
 
 def explored_covers(explored: ExploredMap, point) -> bool:
@@ -382,9 +383,7 @@ def explored_covers(explored: ExploredMap, point) -> bool:
     overlap it, so they are tested one by one: parity across overlapping
     regions would cancel where coverage is doubled.
     """
-    n_committed = len(explored.committed_regions)
-    alpha_rings = explored.polygons[: len(explored.polygons) - n_committed]
-    if alpha_rings and point_in_region(point, list(alpha_rings)):
+    if explored.alpha_rings and point_in_region(point, list(explored.alpha_rings)):
         return True
     return any(point_in_region(point, [r]) for r in explored.committed_regions)
 

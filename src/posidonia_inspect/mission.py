@@ -11,7 +11,7 @@ given scenario seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -21,9 +21,10 @@ from .camera import CameraModel, pixel_to_world
 from .darkpatch import detect_dark_patches, patch_to_world
 from .geometry import ExploredMap, Polygon, explored_covers, format_ring, record_exploration
 from .imaging import Raster, write_pnm
-from .segmentation import SegmenterBackend, meadow_boundary, summarize
-from .vehicle import GuidanceRef, VehicleState, step, waypoint_guidance, boundary_guidance, wrap_angle
-from .world import MissionConfig, Scenario, render
+from .segmentation import LabelMask, SegmenterBackend, meadow_boundary, summarize
+from .vehicle import (GuidanceRef, VehicleState, boundary_guidance, interior_vertices, step,
+                      waypoint_guidance, wrap_angle)
+from .world import Frame, MissionConfig, Scenario, render
 
 __all__ = [
     "MissionConfig",
@@ -56,7 +57,6 @@ PATCH_SKIPPED_EXPLORED = "PATCH_SKIPPED_EXPLORED"
 DESCEND_START = "DESCEND_START"
 POSIDONIA_FOUND = "POSIDONIA_FOUND"
 ROCKS_ONLY = "ROCKS_ONLY"
-TRACK_START = "TRACK_START"
 TRACK_CLOSED = "TRACK_CLOSED"
 TRACK_LOST = "TRACK_LOST"
 ASCEND_START = "ASCEND_START"
@@ -66,7 +66,7 @@ SEGMENTER_ERROR = "SEGMENTER_ERROR"
 
 EVENT_KINDS = frozenset({
     PATCH_DETECTED, PATCH_SKIPPED_EXPLORED, DESCEND_START, POSIDONIA_FOUND,
-    ROCKS_ONLY, TRACK_START, TRACK_CLOSED, TRACK_LOST, ASCEND_START,
+    ROCKS_ONLY, TRACK_CLOSED, TRACK_LOST, ASCEND_START,
     WAYPOINT_REACHED, MISSION_COMPLETE, SEGMENTER_ERROR,
 })
 
@@ -91,27 +91,26 @@ class MissionState:
     announcements holds (x, y, last_seen_tick) triples for patches already
     reported; a sighting within announce_match_radius of a fresh entry only
     refreshes it, which keeps a patch from being re-reported every tick
-    while it stays in view.
+    while it stays in view.  track_points holds the boundary track so
+    far: its first point is where tracking started, its last the
+    previous tick's position.
     """
 
+    explored: ExploredMap
     phase: MissionPhase = MissionPhase.SURVEY
     tick: int = 0
     waypoint_index: int = 0
-    explored: ExploredMap = field(default_factory=lambda: ExploredMap(alpha=80.0))
     descend_target: tuple[float, float] | None = None
     inspect_left: int = 0
     inspect_hits: int = 0
     inspect_rocks: int = 0
     last_fraction: float = 0.0
-    track_start: tuple[float, float] | None = None
     track_path: float = 0.0
-    track_prev: tuple[float, float] | None = None
     track_points: tuple[tuple[float, float], ...] = ()
     track_align_yaw: float | None = None
     lost_count: int = 0
     announcements: tuple[tuple[float, float, int], ...] = ()
     survey_samples: tuple[tuple[float, float], ...] = ()
-    boundaries: tuple[Polygon, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -168,37 +167,28 @@ def _fresh_match(
     return None
 
 
-def _segment_safely(deps: MissionDeps, frame: Raster):
-    """Backend call that downgrades any backend failure to an event."""
+def _segment_safely(deps: MissionDeps, frame: Frame):
+    """Backend call that downgrades a failure or a mask unfit for the camera to an event."""
     try:
-        return deps.backend.segment(frame), None
+        mask = deps.backend.segment(frame)
     except Exception as exc:  # noqa: BLE001 - fail-safe boundary by contract
         return None, f"{type(exc).__name__}: {exc}"
+    if not isinstance(mask, LabelMask):
+        return None, f"backend returned {type(mask).__name__}, not a LabelMask"
+    shape = (deps.scenario.camera.height, deps.scenario.camera.width)
+    if mask.data.shape != shape:
+        return None, f"mask shape {mask.data.shape} does not match the camera's {shape}"
+    return mask, None
 
 
 def _hold(depth: float, yaw: float, surge: float = 0.0) -> GuidanceRef:
     return GuidanceRef(target_depth=depth, target_surge=surge, target_yaw=yaw)
 
 
-def _interior_vertices(contour: Polygon, camera: CameraModel, margin: float) -> np.ndarray:
-    pts = contour.vertices
-    keep = (
-        (pts[:, 0] > margin)
-        & (pts[:, 0] < camera.width - 1 - margin)
-        & (pts[:, 1] > margin)
-        & (pts[:, 1] < camera.height - 1 - margin)
-    )
-    return pts[keep]
-
-
 def _boundary_align_yaw(
-    contour: Polygon,
-    camera: CameraModel,
-    vehicle: VehicleState,
-    altitude: float,
-    meadow_side: str,
+    contour: Polygon, camera: CameraModel, frame: Frame, meadow_side: str
 ) -> float | None:
-    """World heading along the boundary at its point nearest the vehicle.
+    """World heading along the boundary at its point nearest the camera.
 
     The rate-based follow law assumes the vehicle already moves roughly
     along the boundary; this supplies the heading to turn to first.  The
@@ -209,10 +199,10 @@ def _boundary_align_yaw(
     if verts.shape[0] < 3:
         return None
     wx, wy = pixel_to_world(
-        camera, verts[:, 0], verts[:, 1], vehicle.x, vehicle.y, vehicle.yaw, altitude
+        camera, verts[:, 0], verts[:, 1], frame.x, frame.y, frame.yaw, frame.altitude
     )
     n = wx.shape[0]
-    i = int(np.argmin((wx - vehicle.x) ** 2 + (wy - vehicle.y) ** 2))
+    i = int(np.argmin((wx - frame.x) ** 2 + (wy - frame.y) ** 2))
     j, k = (i + 1) % n, (i - 1) % n
     tx, ty = wx[j] - wx[k], wy[j] - wy[k]
     norm = math.hypot(tx, ty)
@@ -231,15 +221,17 @@ def _boundary_align_yaw(
 def run_tick(
     machine: MissionState,
     vehicle: VehicleState,
-    frame: Raster,
+    frame: Frame,
     deps: MissionDeps,
 ) -> tuple[MissionState, GuidanceRef, list[MissionEvent]]:
-    """One FSM transition; returns the new machine, guidance, and events."""
+    """One FSM transition; returns the new machine, guidance, and events.
+
+    Image positions map to the seafloor through the pose stamped on frame.
+    """
     scenario = deps.scenario
     mission = scenario.mission
     vcfg = scenario.vehicle
-    seabed = scenario.seafloor.seabed_depth
-    inspect_depth = seabed - mission.inspect_altitude
+    inspect_depth = scenario.seafloor.seabed_depth - mission.inspect_altitude
     tick = machine.tick + 1
     now = vehicle.time
     pos = (vehicle.x, vehicle.y)
@@ -259,10 +251,9 @@ def run_tick(
             machine = replace(machine, survey_samples=machine.survey_samples + (pos,))
 
         report = detect_dark_patches(frame, scenario.detector, vehicle_depth=vehicle.z)
-        altitude = seabed - vehicle.z
         for patch in report.patches:
             wx, wy = patch_to_world(
-                patch, scenario.camera, vehicle.x, vehicle.y, vehicle.yaw, altitude
+                patch, scenario.camera, frame.x, frame.y, frame.yaw, frame.altitude
             )
             hit = _fresh_match(machine, mission, wx, wy, tick)
             if hit is not None:
@@ -346,14 +337,11 @@ def run_tick(
             contours = meadow_boundary(mask)
             if contours:
                 align = _boundary_align_yaw(
-                    contours[0], scenario.camera, vehicle,
-                    seabed - vehicle.z, scenario.tracking.meadow_side,
+                    contours[0], scenario.camera, frame, scenario.tracking.meadow_side
                 )
             machine = replace(
                 machine,
                 phase=MissionPhase.TRACK_BOUNDARY,
-                track_start=pos,
-                track_prev=pos,
                 track_points=(pos,),
                 track_path=0.0,
                 track_align_yaw=align,
@@ -372,25 +360,20 @@ def run_tick(
             emit(SEGMENTER_ERROR, err)
             emit(ASCEND_START)
             machine = replace(
-                machine, phase=MissionPhase.ASCEND,
-                track_start=None, track_prev=None, track_points=(),
-                track_align_yaw=None,
+                machine, phase=MissionPhase.ASCEND, track_points=(), track_align_yaw=None
             )
             return machine, _hold(mission.survey_depth, vehicle.yaw), events
 
+        prev, start = machine.track_points[-1], machine.track_points[0]
         machine = replace(
             machine,
-            track_path=machine.track_path + math.hypot(
-                pos[0] - machine.track_prev[0], pos[1] - machine.track_prev[1]
-            ),
-            track_prev=pos,
+            track_path=machine.track_path + math.hypot(pos[0] - prev[0], pos[1] - prev[1]),
             track_points=machine.track_points + (pos,),
         )
 
         if (
             machine.track_path >= mission.min_track_path
-            and math.hypot(pos[0] - machine.track_start[0], pos[1] - machine.track_start[1])
-            <= mission.loop_close_radius
+            and math.hypot(pos[0] - start[0], pos[1] - start[1]) <= mission.loop_close_radius
         ):
             ring = Polygon(np.array(machine.track_points), frame="world")
             emit(TRACK_CLOSED, f"path {machine.track_path:.2f}")
@@ -399,9 +382,7 @@ def run_tick(
                 machine,
                 phase=MissionPhase.ASCEND,
                 explored=machine.explored.add_region(ring),
-                boundaries=machine.boundaries + (ring,),
-                track_start=None, track_prev=None, track_points=(),
-                track_path=0.0, track_align_yaw=None,
+                track_points=(), track_path=0.0, track_align_yaw=None,
             )
             return machine, _hold(mission.survey_depth, vehicle.yaw), events
 
@@ -430,8 +411,7 @@ def run_tick(
                 phase=MissionPhase.ASCEND,
                 explored=explored,
                 lost_count=0,
-                track_start=None, track_prev=None, track_points=(),
-                track_path=0.0, track_align_yaw=None,
+                track_points=(), track_path=0.0, track_align_yaw=None,
             )
             return machine, _hold(mission.survey_depth, vehicle.yaw), events
 
@@ -440,13 +420,12 @@ def run_tick(
         # re-align on it; nothing visible at all usually means the frame is
         # wholly inside the meadow, where straight ahead finds the edge
         if contours:
-            interior = _interior_vertices(
+            interior = interior_vertices(
                 contours[0], scenario.camera, scenario.tracking.border_margin
             )
             if interior.shape[0] >= scenario.tracking.min_band_points:
                 align = _boundary_align_yaw(
-                    contours[0], scenario.camera, vehicle,
-                    seabed - vehicle.z, scenario.tracking.meadow_side,
+                    contours[0], scenario.camera, frame, scenario.tracking.meadow_side
                 )
                 if align is not None:
                     machine = replace(machine, track_align_yaw=align)
@@ -493,8 +472,6 @@ def run_mission(scenario: Scenario, backend: SegmenterBackend, max_ticks: int) -
         ticks += 1
         altitude = scenario.seafloor.seabed_depth - vehicle.z
         frame, _ = render(scenario, vehicle.x, vehicle.y, vehicle.yaw, altitude)
-        if hasattr(backend, "bind_pose"):
-            backend.bind_pose(vehicle)
         machine, ref, events = run_tick(machine, vehicle, frame, deps)
 
         kinds = [e.kind for e in events] or [""]
@@ -512,7 +489,7 @@ def run_mission(scenario: Scenario, backend: SegmenterBackend, max_ticks: int) -
         rows=tuple(rows),
         events=tuple(all_events),
         explored=machine.explored,
-        boundaries=machine.boundaries,
+        boundaries=machine.explored.committed_regions,
         completed=machine.phase is MissionPhase.COMPLETE,
         ticks=ticks,
     )

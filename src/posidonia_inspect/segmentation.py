@@ -103,9 +103,14 @@ def read_mask(path) -> LabelMask:
 
 @runtime_checkable
 class SegmenterBackend(Protocol):
-    """Anything that turns a camera frame into a class mask."""
+    """Anything that turns a camera frame into a class mask.
 
-    def segment(self, img: Raster) -> LabelMask: ...
+    The mission loop passes each pose-stamped ``world.Frame`` from render
+    and nothing else, so a backend keeps no per-frame state and one
+    instance may serve many missions.
+    """
+
+    def segment(self, frame: Raster) -> LabelMask: ...
 
 
 # ---------------------------------------------------------------------------

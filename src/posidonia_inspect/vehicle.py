@@ -26,6 +26,7 @@ __all__ = [
     "wrap_angle",
     "step",
     "waypoint_guidance",
+    "interior_vertices",
     "boundary_guidance",
 ]
 
@@ -176,6 +177,21 @@ class TrackingConfig:
             raise ValueError("min_band_points must be at least 2")
 
 
+def interior_vertices(boundary: Polygon, camera: CameraModel, margin: float) -> np.ndarray:
+    """Pixel-frame vertices farther than margin from every image border.
+
+    Vertices hugging the border trace the frame edge, not the boundary.
+    """
+    pts = boundary.vertices
+    keep = (
+        (pts[:, 0] > margin)
+        & (pts[:, 0] < camera.width - 1 - margin)
+        & (pts[:, 1] > margin)
+        & (pts[:, 1] < camera.height - 1 - margin)
+    )
+    return pts[keep]
+
+
 def boundary_guidance(
     boundary: Polygon,
     camera: CameraModel,
@@ -184,21 +200,12 @@ def boundary_guidance(
 ) -> GuidanceRef | None:
     """Yaw-rate reference that slides along a meadow boundary contour.
 
-    The boundary polygon is in pixel coordinates.  Vertices hugging the
-    image border are projection artifacts and get dropped; the rest are
-    windowed to a horizontal band around the image centerline and fit
+    The boundary polygon is in pixel coordinates.  Its interior vertices
+    are windowed to a horizontal band around the image centerline and fit
     with a straight line.  Returns None when too little boundary is
     visible to fit one, which callers treat as a lost track.
     """
-    pts = boundary.vertices
-    margin = config.border_margin
-    interior = (
-        (pts[:, 0] > margin)
-        & (pts[:, 0] < camera.width - 1 - margin)
-        & (pts[:, 1] > margin)
-        & (pts[:, 1] < camera.height - 1 - margin)
-    )
-    pts = pts[interior]
+    pts = interior_vertices(boundary, camera, config.border_margin)
     if pts.shape[0] < config.min_band_points:
         return None
 

@@ -18,7 +18,9 @@ Rendering projects every pixel center onto the seafloor plane, colors
 it by class, adds world-anchored texture noise (a pure hash of the cell
 index, so the same spot always looks the same), then applies the water
 column.  The renderer returns the ground-truth mask along with the
-image, which is what makes desk-scale end-to-end runs testable.
+image, which is what makes desk-scale end-to-end runs testable.  The
+image comes back as a :class:`Frame` stamped with the camera pose it was
+taken from, so consumers never need the pose passed beside it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .camera import CameraModel, footprint_polygon, pixel_grid_world
+from .camera import CameraModel, pixel_grid_world
 from .darkpatch import DetectorConfig
 from .imaging import WATER_PRESETS, Raster, WaterModel, add_speckle, attenuate
 from .segmentation import NUM_CLASSES, LabelMask, read_mask, write_mask
@@ -42,15 +44,14 @@ __all__ = [
     "SeafloorConfig",
     "MissionConfig",
     "Scenario",
+    "Frame",
     "classes_at",
     "render",
     "OracleSegmenter",
-    "oracle_segmenter",
     "validate_scenario",
     "parse_scenario_text",
     "load_scenario",
     "save_scenario",
-    "footprint_polygon",
 ]
 
 # base albedo per class code: sand, posidonia, debris, rocks
@@ -242,10 +243,20 @@ def _pose_seed(scenario: Scenario, x: float, y: float, yaw: float, altitude: flo
     return int.from_bytes(hashlib.blake2b(packed, digest_size=8).digest(), "little")
 
 
+@dataclass(frozen=True)
+class Frame(Raster):
+    """Rendered image plus the camera pose (position, heading, altitude) it was taken from."""
+
+    x: float
+    y: float
+    yaw: float
+    altitude: float
+
+
 def render(
     scenario: Scenario, x: float, y: float, yaw: float, altitude: float
-) -> tuple[Raster, LabelMask]:
-    """Simulate one downward frame; returns the image and its ground truth."""
+) -> tuple[Frame, LabelMask]:
+    """Simulate one downward frame; returns the pose-stamped image and its ground truth."""
     if not (math.isfinite(altitude) and altitude > 0.0):
         raise ValueError("altitude must be positive")
     floor = scenario.seafloor
@@ -269,39 +280,27 @@ def render(
             scenario.water, rng_seed=_pose_seed(scenario, x, y, yaw, altitude)
         )
         out = add_speckle(out, per_pose)
-    return out, LabelMask(codes)
+    return Frame(out.data, x, y, yaw, altitude), LabelMask(codes)
 
 
 class OracleSegmenter:
-    """Perfect segmentation by ground-truth lookup under a bound pose.
+    """Perfect segmentation by ground-truth lookup under the frame's pose.
 
-    The mission loop binds the current vehicle state before each frame;
-    anything with x, y, yaw and z attributes works.
+    Holds no per-frame state, so one instance may serve many missions.
     """
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self._pose: tuple[float, float, float, float] | None = None
 
-    def bind_pose(self, state) -> None:
-        self._pose = (state.x, state.y, state.yaw, state.z)
-
-    def segment(self, img: Raster) -> LabelMask:
-        if self._pose is None:
-            raise RuntimeError("bind_pose must be called before segment")
-        x, y, yaw, z = self._pose
-        altitude = self.scenario.seafloor.seabed_depth - z
-        if altitude <= 0.0:
-            raise ValueError("bound pose sits on or below the seafloor")
+    def segment(self, frame: Frame) -> LabelMask:
+        if not isinstance(frame, Frame):
+            raise TypeError("the oracle needs a pose-stamped Frame from render")
         cam = self.scenario.camera
-        if (img.height, img.width) != (cam.height, cam.width):
+        if (frame.height, frame.width) != (cam.height, cam.width):
             raise ValueError("frame size does not match the scenario camera")
-        gx, gy = pixel_grid_world(cam, x, y, yaw, altitude)
+        # pixel_grid_world rejects a pose on or below the seafloor
+        gx, gy = pixel_grid_world(cam, frame.x, frame.y, frame.yaw, frame.altitude)
         return LabelMask(classes_at(self.scenario.seafloor, gx, gy))
-
-
-def oracle_segmenter(scenario: Scenario) -> OracleSegmenter:
-    return OracleSegmenter(scenario)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import filecmp
 import math
 import time
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -200,10 +199,7 @@ def test_06_footprint_geometry(announce):
 
     scenario = blocks_scenario()
     img, gt = render(scenario, 40.0, 40.0, 0.7, 5.0)
-    seg = OracleSegmenter(scenario)
-    seg.bind_pose(SimpleNamespace(x=40.0, y=40.0, yaw=0.7,
-                                  z=scenario.seafloor.seabed_depth - 5.0))
-    pred = seg.segment(img)
+    pred = OracleSegmenter(scenario).segment(img)
     ok = ok and np.array_equal(pred.data, gt.data)
     ok = ok and mean_iou([(gt, pred)]) == 1.0
     announce("06 footprint dims and oracle IoU 1.0", ok, time.perf_counter() - t0, 2.0)

@@ -251,6 +251,9 @@ class TestExploredMap:
         assert point_in_region((55.0, 53.0), explored.polygons)
         explored = record_exploration(explored, [(0, 0), (1, 0), (0, 1)], (0.5, 0.5))
         assert point_in_region((55.0, 53.0), explored.polygons)
+        # alpha rings first, then committed regions: the byte order of polygons.rings
+        assert explored.committed_regions == (region,)
+        assert explored.polygons == explored.alpha_rings + explored.committed_regions
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):

@@ -34,7 +34,6 @@ KIND_LETTERS = {
     "DESCEND_START": "D",
     "POSIDONIA_FOUND": "F",
     "ROCKS_ONLY": "R",
-    "TRACK_START": "T",
     "TRACK_CLOSED": "C",
     "TRACK_LOST": "L",
     "ASCEND_START": "A",
@@ -86,8 +85,8 @@ class RaisingBackend:
 
 
 class AllPosidoniaBackend:
-    def __init__(self, scenario: Scenario):
-        self.shape = (scenario.camera.height, scenario.camera.width)
+    def __init__(self, scenario: Scenario, shape=None):
+        self.shape = shape or (scenario.camera.height, scenario.camera.width)
 
     def segment(self, img):
         return LabelMask(np.full(self.shape, POSIDONIA, dtype=np.uint8))
@@ -203,6 +202,18 @@ class TestFailSafe:
         assert kinds.count("TRACK_LOST") == 1
         assert kinds.count("TRACK_CLOSED") == 0
 
+    def test_wrong_shape_mask_is_segmenter_error(self):
+        # a mask that does not cover the frame must not be read as a finding
+        scn = one_disk_scenario()
+        log = run_mission(scn, AllPosidoniaBackend(scn, shape=(4, 4)), max_ticks=4000)
+        kinds = [e.kind for e in log.events]
+        assert log.completed
+        assert kinds.count("SEGMENTER_ERROR") >= 1
+        assert kinds.count("POSIDONIA_FOUND") == 0
+        assert kinds.count("TRACK_LOST") == 0
+        detail = next(e.detail for e in log.events if e.kind == "SEGMENTER_ERROR")
+        assert "(4, 4)" in detail
+
 
 class TestDeterminism:
     def test_same_seed_same_log(self):
@@ -212,6 +223,14 @@ class TestDeterminism:
             log = run_mission(scn, OracleSegmenter(scn), max_ticks=4000)
             runs.append(log)
         a, b = runs
+        assert a.events == b.events
+        assert a.rows == b.rows
+
+    def test_shared_backend_same_log(self):
+        scn = one_disk_scenario()
+        backend = OracleSegmenter(scn)
+        a = run_mission(scn, backend, max_ticks=4000)
+        b = run_mission(scn, backend, max_ticks=4000)
         assert a.events == b.events
         assert a.rows == b.rows
 

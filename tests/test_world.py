@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from posidonia_inspect.camera import CameraModel, pixel_grid_world
-from posidonia_inspect.imaging import WaterModel
-from posidonia_inspect.segmentation import LabelMask
-from posidonia_inspect.vehicle import VehicleState
+from posidonia_inspect.imaging import Raster, WaterModel
+from posidonia_inspect.segmentation import BaselineSegmenter, LabelMask
 from posidonia_inspect.world import (
     DEFAULT_COLORS,
+    Frame,
     MissionConfig,
     OracleSegmenter,
     Scenario,
@@ -165,34 +165,40 @@ class TestRender:
 class TestOracleSegmenter:
     def test_matches_render_gt(self):
         sc = tiny_scenario()
-        seg = OracleSegmenter(sc)
-        state = VehicleState(x=10.0, y=10.0, z=sc.seafloor.seabed_depth - 4.0, yaw=0.7)
-        seg.bind_pose(state)
-        img, gt = render(sc, state.x, state.y, state.yaw, 4.0)
-        assert np.array_equal(seg.segment(img).data, gt.data)
+        img, gt = render(sc, 10.0, 10.0, 0.7, 4.0)
+        assert (img.x, img.y, img.yaw, img.altitude) == (10.0, 10.0, 0.7, 4.0)
+        assert np.array_equal(OracleSegmenter(sc).segment(img).data, gt.data)
 
-    def test_requires_bound_pose(self):
+    def test_rejects_plain_raster(self):
         sc = tiny_scenario()
         img, _ = render(sc, 5.0, 5.0, 0.0, 3.0)
-        with pytest.raises(RuntimeError):
-            OracleSegmenter(sc).segment(img)
+        with pytest.raises(TypeError):
+            OracleSegmenter(sc).segment(Raster(img.data))
 
     def test_rejects_wrong_frame_size(self):
         sc = tiny_scenario()
-        seg = OracleSegmenter(sc)
-        seg.bind_pose(VehicleState(z=10.0))
         other = tiny_scenario(camera=CameraModel(90.0, 70.0, 16, 12))
         img, _ = render(other, 5.0, 5.0, 0.0, 3.0)
         with pytest.raises(ValueError):
-            seg.segment(img)
+            OracleSegmenter(sc).segment(img)
 
     def test_rejects_pose_below_floor(self):
         sc = tiny_scenario()
-        seg = OracleSegmenter(sc)
-        seg.bind_pose(VehicleState(z=sc.seafloor.seabed_depth))
         img, _ = render(sc, 5.0, 5.0, 0.0, 3.0)
         with pytest.raises(ValueError):
-            seg.segment(img)
+            OracleSegmenter(sc).segment(Frame(img.data, 5.0, 5.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "make_backend", [OracleSegmenter, lambda sc: BaselineSegmenter()], ids=["oracle", "baseline"]
+)
+def test_backend_takes_rendered_frame_alone(make_backend):
+    # the whole backend contract: segment(frame) with render's output, no other call
+    sc = tiny_scenario()
+    img, _ = render(sc, 5.0, 5.0, 0.0, 3.0)
+    mask = make_backend(sc).segment(img)
+    assert isinstance(mask, LabelMask)
+    assert mask.data.shape == (sc.camera.height, sc.camera.width)
 
 
 class TestValidateScenario:
