@@ -75,7 +75,10 @@ class DarkPatchReport:
 
 
 def _value_channel(data: np.ndarray) -> np.ndarray:
-    return data[:, :, 0] if data.shape[2] == 1 else data.max(axis=2)
+    if data.shape[2] == 1:
+        return data[:, :, 0]
+    # chained over the planes: an axis-2 reduction loops over only 3 values
+    return np.maximum(np.maximum(data[:, :, 0], data[:, :, 1]), data[:, :, 2])
 
 
 def detect_dark_patches(
@@ -87,15 +90,16 @@ def detect_dark_patches(
     dark_thr, white_thr = cfg.thresholds(vehicle_depth)
 
     data = img.data
-    bright = _value_channel(data) > white_thr
+    value = _value_channel(data)
+    bright = value > white_thr
     if bright.any():
         clamped = np.empty_like(data)
         for c in range(data.shape[2]):
             med = ndimage.median_filter(data[:, :, c], size=3)
             clamped[:, :, c] = np.where(bright, med, data[:, :, c])
         data = clamped
+        value = _value_channel(data)
 
-    value = _value_channel(data)
     dark = value < dark_thr
     labels, count = label_components(dark)
 

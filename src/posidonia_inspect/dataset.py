@@ -134,10 +134,11 @@ def _region_mask(pts: np.ndarray, width: int, height: int) -> np.ndarray:
     for k in range(n):
         x1, y1 = pts[k]
         x2, y2 = pts[(k + 1) % n]
+        # only rows between the edge's end heights cross it, so y2 != y1 there
         crosses = (y1 > yy) != (y2 > yy)
         if crosses.any():
-            xi = x1 + (yy - y1) * (x2 - x1) / (y2 - y1 if y2 != y1 else 1.0)
-            inside ^= crosses & (xx < xi)
+            xi = x1 + (yy[crosses] - y1) * (x2 - x1) / (y2 - y1)
+            inside[crosses] ^= xx[crosses] < xi
         # distance from pixel centers to the segment
         ex, ey = x2 - x1, y2 - y1
         len2 = ex * ex + ey * ey

@@ -314,10 +314,11 @@ def point_in_region(point, polygons) -> bool:
             return True
         x1, y1 = verts[:, 0], verts[:, 1]
         x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+        # only edges that straddle the ray's height cross it (and have y2 != y1)
         straddles = (y1 > pt[1]) != (y2 > pt[1])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi = x1 + (pt[1] - y1) * (x2 - x1) / np.where(y2 != y1, y2 - y1, 1.0)
-        crossings += int(np.count_nonzero(straddles & (pt[0] < xi)))
+        x1, y1, x2, y2 = x1[straddles], y1[straddles], x2[straddles], y2[straddles]
+        xi = x1 + (pt[1] - y1) * (x2 - x1) / (y2 - y1)
+        crossings += int(np.count_nonzero(pt[0] < xi))
     return crossings % 2 == 1
 
 

@@ -139,8 +139,9 @@ def to_hsv(img: Raster) -> HsvRaster:
         raise ValueError("to_hsv requires a 3-channel raster")
     rgb = img.data
     r, g, b = rgb[:, :, 0], rgb[:, :, 1], rgb[:, :, 2]
-    cmax = rgb.max(axis=2)
-    cmin = rgb.min(axis=2)
+    # chained over the planes: an axis-2 reduction loops over only 3 values
+    cmax = np.maximum(np.maximum(r, g), b)
+    cmin = np.minimum(np.minimum(r, g), b)
     delta = cmax - cmin
 
     sat = np.zeros_like(cmax)
@@ -229,8 +230,13 @@ def attenuate(img: Raster, water: WaterModel, path_length: float) -> Raster:
         att = np.array([att.mean()])
         veil = np.array([veil.mean()])
     decay = np.exp(-att * path_length)
-    out = img.data * decay + veil * (1.0 - decay)
-    return Raster(np.clip(out, 0.0, 1.0))
+    # per-channel factors tiled along a row of the (H, W*C) view, so the
+    # arithmetic runs over whole rows instead of broadcasting over C
+    h, w, c = img.data.shape
+    out = img.data.reshape(h, w * c) * np.tile(decay, w)
+    out += np.tile(veil * (1.0 - decay), w)
+    np.clip(out, 0.0, 1.0, out=out)
+    return Raster(out.reshape(h, w, c))
 
 
 def add_speckle(img: Raster, water: WaterModel) -> Raster:

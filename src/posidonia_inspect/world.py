@@ -30,6 +30,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -172,6 +173,21 @@ class Scenario:
     def seed(self) -> int:
         return self.mission.seed
 
+    @cached_property
+    def _albedo(self) -> np.ndarray:
+        # (cells, 3) noisy base color of every map cell in row-major order.
+        # Baked on the first render, so setting up a scenario stays cheap, and
+        # one map row at a time, so the noise temporaries stay small.
+        grid = self.seafloor.label_map.data
+        h, w = grid.shape
+        albedo = np.empty((h, w, 3))
+        cols = np.arange(w, dtype=np.int64)
+        for r in range(h):
+            albedo[r] = _noisy_albedo(self, grid[r], cols, np.full(w, r, dtype=np.int64))
+        albedo = albedo.reshape(h * w, 3)
+        albedo.setflags(write=False)
+        return albedo
+
 
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Cross-field checks; returns all violations as 'section.field: why'."""
@@ -201,19 +217,36 @@ def validate_scenario(scenario: Scenario) -> list[str]:
 # Rendering
 
 
+def _cell_index(
+    seafloor: SeafloorConfig, wx: np.ndarray, wy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Cell columns, rows and row-major flat indices under world points.
+
+    The last item is the on-map mask, or None when every point is on the
+    map.  Off-map points get flat index 0, so gathers need no masking.
+    """
+    x0, y0 = seafloor.origin
+    ix = np.floor((np.asarray(wx, dtype=float) - x0) / seafloor.resolution).astype(np.int64)
+    iy = np.floor((np.asarray(wy, dtype=float) - y0) / seafloor.resolution).astype(np.int64)
+    h, w = seafloor.label_map.data.shape
+    flat = iy * w + ix
+    if ix.size and ix.min() >= 0 and ix.max() < w and iy.min() >= 0 and iy.max() < h:
+        return ix, iy, flat, None
+    inside = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
+    return ix, iy, np.where(inside, flat, 0), inside
+
+
+def _gather_codes(seafloor: SeafloorConfig, flat: np.ndarray, inside: np.ndarray | None) -> np.ndarray:
+    codes = seafloor.label_map.data.ravel().take(flat)
+    if inside is not None:
+        codes *= inside  # off the map reads as sand
+    return codes
+
+
 def classes_at(seafloor: SeafloorConfig, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
     """Class codes under world points; anything off the map reads as sand."""
-    wx = np.asarray(wx, dtype=float)
-    wy = np.asarray(wy, dtype=float)
-    x0, y0 = seafloor.origin
-    ix = np.floor((wx - x0) / seafloor.resolution).astype(np.int64)
-    iy = np.floor((wy - y0) / seafloor.resolution).astype(np.int64)
-    grid = seafloor.label_map.data
-    h, w = grid.shape
-    inside = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
-    codes = np.zeros(wx.shape, dtype=np.uint8)
-    codes[inside] = grid[iy[inside], ix[inside]]
-    return codes
+    _, _, flat, inside = _cell_index(seafloor, wx, wy)
+    return _gather_codes(seafloor, flat, inside)
 
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -253,6 +286,18 @@ class Frame(Raster):
     altitude: float
 
 
+def _noisy_albedo(scenario: Scenario, codes: np.ndarray, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+    """Base color of each class code plus the texture noise of its cell, clipped."""
+    floor = scenario.seafloor
+    img = np.asarray(floor.colors, dtype=float).take(codes, axis=0)
+    if floor.noise_amplitude > 0.0:
+        for c in range(3):
+            n = _cell_noise(ix, iy, scenario.seed * 4 + c)
+            img[..., c] += (2.0 * n - 1.0) * floor.noise_amplitude
+        np.clip(img, 0.0, 1.0, out=img)
+    return img
+
+
 def render(
     scenario: Scenario, x: float, y: float, yaw: float, altitude: float
 ) -> tuple[Frame, LabelMask]:
@@ -261,18 +306,15 @@ def render(
         raise ValueError("altitude must be positive")
     floor = scenario.seafloor
     gx, gy = pixel_grid_world(scenario.camera, x, y, yaw, altitude)
-    codes = classes_at(floor, gx, gy)
-
-    palette = np.asarray(floor.colors, dtype=float)
-    img = palette[codes]
-    if floor.noise_amplitude > 0.0:
-        x0, y0 = floor.origin
-        ix = np.floor((gx - x0) / floor.resolution).astype(np.int64)
-        iy = np.floor((gy - y0) / floor.resolution).astype(np.int64)
-        for c in range(3):
-            n = _cell_noise(ix, iy, scenario.seed * 4 + c)
-            img[:, :, c] += (2.0 * n - 1.0) * floor.noise_amplitude
-        np.clip(img, 0.0, 1.0, out=img)
+    ix, iy, flat, inside = _cell_index(floor, gx, gy)
+    codes = _gather_codes(floor, flat, inside)
+    img = scenario._albedo.take(flat, axis=0)
+    if inside is not None:
+        # off-map pixels are sand with the noise of their own cell
+        off = np.flatnonzero(~inside)
+        img.reshape(-1, 3)[off] = _noisy_albedo(
+            scenario, codes.ravel()[off], ix.ravel()[off], iy.ravel()[off]
+        )
 
     out = attenuate(Raster(img), scenario.water, altitude)
     if scenario.water.speckle_density > 0.0:

@@ -2,15 +2,23 @@
 
 Everything here is written from first principles with a different algorithm
 than the implementation under test: O(n^3) edge-test hull, winding-number
-membership, flood-fill boundary sets, and set-based IoU counting.
+membership, flood-fill boundary sets, and set-based IoU counting.  The
+rendering references keep the straightforward per-frame formulas (fancy-index
+class lookup, per-pixel noise, last-axis reductions and broadcasting) that the
+library computes with cheaper array shapes; they must agree byte for byte.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
+
+from posidonia_inspect.camera import pixel_grid_world
+from posidonia_inspect.imaging import Raster, add_speckle
+from posidonia_inspect.world import _cell_noise, _pose_seed
 
 
 def brute_hull_vertices(points: np.ndarray) -> set[tuple[float, float]]:
@@ -146,3 +154,67 @@ def mean_iou_by_sets(pairs, classes) -> float:
             if (g == cls).any() or (p == cls).any():
                 vals.append(iou_by_sets(g, p, cls))
     return sum(vals) / len(vals) if vals else 1.0
+
+
+def reference_classes_at(seafloor, wx, wy) -> np.ndarray:
+    """Class codes by masked fancy indexing into the map; off-map is sand."""
+    x0, y0 = seafloor.origin
+    ix = np.floor((np.asarray(wx, dtype=float) - x0) / seafloor.resolution).astype(np.int64)
+    iy = np.floor((np.asarray(wy, dtype=float) - y0) / seafloor.resolution).astype(np.int64)
+    grid = seafloor.label_map.data
+    h, w = grid.shape
+    inside = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
+    codes = np.zeros(ix.shape, dtype=np.uint8)
+    codes[inside] = grid[iy[inside], ix[inside]]
+    return codes
+
+
+def reference_attenuate(data: np.ndarray, water, path_length: float) -> np.ndarray:
+    """clip(in * exp(-cL) + veil * (1 - exp(-cL))) broadcast over the channel axis."""
+    att = np.asarray(water.attenuation, dtype=np.float64)
+    veil = np.asarray(water.backscatter_veil, dtype=np.float64)
+    if data.shape[2] == 1:
+        att = np.array([att.mean()])
+        veil = np.array([veil.mean()])
+    decay = np.exp(-att * path_length)
+    return np.clip(data * decay + veil * (1.0 - decay), 0.0, 1.0)
+
+
+def reference_hsv(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(hue, saturation, value) with max/min taken as last-axis reductions."""
+    r, g, b = rgb[:, :, 0], rgb[:, :, 1], rgb[:, :, 2]
+    cmax = rgb.max(axis=2)
+    cmin = rgb.min(axis=2)
+    delta = cmax - cmin
+    sat = np.zeros_like(cmax)
+    np.divide(delta, cmax, out=sat, where=cmax > 0.0)
+    hue = np.zeros_like(cmax)
+    m_r = (cmax == r) & (delta > 0.0)
+    m_g = (cmax == g) & (delta > 0.0) & ~m_r
+    m_b = (delta > 0.0) & ~m_r & ~m_g
+    hue[m_r] = 60.0 * np.mod((g[m_r] - b[m_r]) / delta[m_r], 6.0)
+    hue[m_g] = 60.0 * ((b[m_g] - r[m_g]) / delta[m_g] + 2.0)
+    hue[m_b] = 60.0 * ((r[m_b] - g[m_b]) / delta[m_b] + 4.0)
+    return np.mod(hue, 360.0), sat, cmax
+
+
+def reference_render(scenario, x, y, yaw, altitude) -> tuple[np.ndarray, np.ndarray]:
+    """(image, class codes) of one frame, every pixel colored from scratch:
+    class lookup, palette, per-pixel cell noise, attenuation, then speckle."""
+    floor = scenario.seafloor
+    gx, gy = pixel_grid_world(scenario.camera, x, y, yaw, altitude)
+    codes = reference_classes_at(floor, gx, gy)
+    img = np.asarray(floor.colors, dtype=float)[codes]
+    if floor.noise_amplitude > 0.0:
+        x0, y0 = floor.origin
+        ix = np.floor((gx - x0) / floor.resolution).astype(np.int64)
+        iy = np.floor((gy - y0) / floor.resolution).astype(np.int64)
+        for c in range(3):
+            n = _cell_noise(ix, iy, scenario.seed * 4 + c)
+            img[:, :, c] += (2.0 * n - 1.0) * floor.noise_amplitude
+        np.clip(img, 0.0, 1.0, out=img)
+    out = Raster(reference_attenuate(img, scenario.water, altitude))
+    if scenario.water.speckle_density > 0.0:
+        per_pose = replace(scenario.water, rng_seed=_pose_seed(scenario, x, y, yaw, altitude))
+        out = add_speckle(out, per_pose)
+    return out.data, codes

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from posidonia_inspect.camera import CameraModel
 from posidonia_inspect.darkpatch import (
     DarkPatchReport,
     DetectorConfig,
+    _value_channel,
     detect_dark_patches,
     patch_to_world,
     report_lines,
@@ -137,6 +141,20 @@ class TestDetect:
         a = detect_dark_patches(Raster(data))
         b = detect_dark_patches(Raster(data))
         assert a == b
+
+
+@given(
+    st.sampled_from([1, 3]).flatmap(
+        lambda channels: hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 8), st.integers(0, 6).map(lambda k: 2 * k + 1), st.just(channels)),
+            elements=st.floats(0.0, 1.0, allow_nan=False, width=64),
+        )
+    )
+)
+@settings(max_examples=80)
+def test_value_channel_is_channel_max(data):
+    assert _value_channel(data).tobytes() == data.max(axis=2).tobytes()
 
 
 class TestPatchToWorld:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import oracles
 from posidonia_inspect.imaging import (
     Raster,
     WaterModel,
@@ -37,6 +38,15 @@ def small_images(channels=1):
     return hnp.arrays(
         np.float64,
         st.tuples(st.integers(1, 8), st.integers(1, 8), st.just(channels)),
+        elements=unit_floats,
+    ).map(Raster)
+
+
+def odd_width_images(channels):
+    # odd widths put the channel planes of neighbouring rows off any even stride
+    return hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 8), st.integers(0, 6).map(lambda k: 2 * k + 1), st.just(channels)),
         elements=unit_floats,
     ).map(Raster)
 
@@ -93,6 +103,16 @@ class TestToHsv:
     @settings(max_examples=60)
     def test_value_is_channel_max(self, img):
         assert np.array_equal(to_hsv(img).value, img.data.max(axis=2))
+
+
+    @given(odd_width_images(3))
+    @settings(max_examples=80)
+    def test_matches_axis_reduction_formulas(self, img):
+        hsv = to_hsv(img)
+        hue, sat, value = oracles.reference_hsv(img.data)
+        assert hsv.hue.tobytes() == hue.tobytes()
+        assert hsv.saturation.tobytes() == sat.tobytes()
+        assert hsv.value.tobytes() == value.tobytes()
 
 
 class TestEqualize:
@@ -189,6 +209,23 @@ class TestAttenuate:
         out = attenuate(img, water, path)
         veil = np.asarray(water.backscatter_veil)
         assert np.all(np.abs(out.data - veil) <= np.abs(img.data - veil) + 1e-12)
+
+
+    @given(
+        st.sampled_from([1, 3]).flatmap(odd_width_images),
+        st.floats(0.0, 50.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80)
+    def test_matches_broadcast_formula(self, img, path, seed):
+        rng = np.random.default_rng(seed)
+        water = WaterModel(
+            attenuation=tuple(rng.uniform(0.0, 2.0, 3)),
+            backscatter_veil=tuple(rng.uniform(0.0, 1.0, 3)),
+        )
+        out = attenuate(img, water, path)
+        assert out.data.shape == img.data.shape
+        assert out.data.tobytes() == oracles.reference_attenuate(img.data, water, path).tobytes()
 
 
 class TestSpeckle:

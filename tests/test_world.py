@@ -1,8 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import oracles
 from posidonia_inspect.camera import CameraModel, pixel_grid_world
-from posidonia_inspect.imaging import Raster, WaterModel
+from posidonia_inspect.imaging import WATER_PRESETS, Raster, WaterModel
 from posidonia_inspect.segmentation import BaselineSegmenter, LabelMask
 from posidonia_inspect.world import (
     DEFAULT_COLORS,
@@ -94,6 +100,25 @@ class TestClassesAt:
         codes = classes_at(floor, np.array([105.0]), np.array([55.0]))
         assert codes[0] == 1  # cell (2, 2) in the class-1 quadrant
 
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 9), st.sampled_from([1, 3, 5, 7, 9])),
+            elements=st.floats(-8.0, 30.0, allow_nan=False, width=64),
+        ),
+        st.floats(-8.0, 30.0, allow_nan=False, width=64),
+        st.sampled_from([0.5, 1.0, 1.5]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_fancy_index_lookup(self, wx, y_shift, resolution):
+        # points on, off and straddling the map, odd row widths
+        floor = SeafloorConfig(checker_map(), resolution=resolution, origin=(-1.0, 2.0))
+        wy = wx[::-1] + y_shift
+        codes = classes_at(floor, wx, wy)
+        expect = oracles.reference_classes_at(floor, wx, wy)
+        assert codes.dtype == expect.dtype and codes.shape == expect.shape
+        assert codes.tobytes() == expect.tobytes()
+
 
 class TestCellNoise:
     def test_pure_function(self):
@@ -160,6 +185,64 @@ class TestRender:
         bright, _ = render(tiny_scenario(), 5.0, 5.0, 0.0, 3.0)
         dim, _ = render(tiny_scenario(water=dark_water), 5.0, 5.0, 0.0, 3.0)
         assert dim.data.mean() < bright.data.mean()
+
+
+def textured_scenario(noise: float, water: str) -> Scenario:
+    # all four classes scattered over a 40 x 30 cell (20 m x 15 m) map
+    codes = np.random.default_rng(5).integers(0, 4, size=(30, 40), dtype=np.uint8)
+    return Scenario(
+        seafloor=SeafloorConfig(
+            LabelMask(codes), resolution=0.5, origin=(3.0, -2.0), noise_amplitude=noise
+        ),
+        water=WATER_PRESETS[water],
+        camera=CameraModel(90.0, 70.0, 41, 31),
+        waypoints=((8.0, 4.0),),
+    )
+
+
+def on_map_fraction(scenario, pose) -> float:
+    gx, gy = pixel_grid_world(scenario.camera, *pose)
+    x0, y0, x1, y1 = scenario.seafloor.extent
+    return float(((gx >= x0) & (gx < x1) & (gy >= y0) & (gy < y1)).mean())
+
+
+# (x, y, yaw, altitude) over the map above; the footprint is 2 x 1.4 altitudes
+RENDER_POSES = {
+    "on_map": ((13.0, 5.5, 0.4, 3.0), 1.0),
+    "edge_grazing": ((3.5, 5.5, 0.4, 3.0), None),
+    "corner": ((23.0, 13.0, 2.0, 4.0), None),
+    "off_map": ((-40.0, -30.0, 0.4, 3.0), 0.0),
+}
+
+
+class TestRenderMatchesReference:
+    """render equals the per-pixel formula byte for byte, codes included."""
+
+    @pytest.mark.parametrize("water", sorted(WATER_PRESETS))
+    @pytest.mark.parametrize("noise", [0.0, 0.03])
+    @pytest.mark.parametrize("pose_name", sorted(RENDER_POSES))
+    def test_bytes(self, pose_name, noise, water):
+        pose, fraction = RENDER_POSES[pose_name]
+        first = textured_scenario(noise, water)
+        if fraction is None:
+            assert 0.0 < on_map_fraction(first, pose) < 1.0
+        else:
+            assert on_map_fraction(first, pose) == fraction
+        # the second scenario differs only in its seed, which salts the noise:
+        # rendering it from the first one's albedo would miss the reference
+        for seed in (0, 7):
+            sc = replace(first, mission=replace(first.mission, seed=seed))
+            frame, gt = render(sc, *pose)
+            img, codes = oracles.reference_render(sc, *pose)
+            assert frame.data.tobytes() == img.tobytes()
+            assert gt.data.tobytes() == codes.tobytes()
+
+    def test_albedo_baked_on_first_render(self, tmp_path):
+        save_scenario(textured_scenario(0.03, "clear"), tmp_path / "s.scn")
+        sc = load_scenario(tmp_path / "s.scn")
+        assert "_albedo" not in vars(sc)  # setting up a scenario does not bake
+        render(sc, *RENDER_POSES["on_map"][0])
+        assert vars(sc)["_albedo"].shape == (30 * 40, 3)
 
 
 class TestOracleSegmenter:
