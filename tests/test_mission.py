@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -257,3 +258,59 @@ class TestArtifacts:
         assert "# boundaries" in rings
 
         assert (tmp_path / "map.ppm").read_bytes().startswith(b"P6")
+
+
+# sha256 of trajectory.csv, events.txt, polygons.rings and map.ppm, recorded
+# before the FSM was reduced to one ASCEND exit; the one-disk cases cover the
+# SEGMENTER_ERROR and TRACK_LOST exits that no preset mission takes
+GOLDEN_DIGESTS = {
+    "five_patch": (
+        "c193baa672bbce7fb950a106268a10108434f9293507f775a37a1a480fc33350",
+        "785778b16a68e77db3267ce01cd06b4d495a625e2a87873f20b1a842b07d500c",
+        "4d1c75eed323db648128f99c995f6efdd3d8b02ee1230e278b15cb01b75b37ea",
+        "c99ca5d4c0a783cb58670b43ae780e65ee702d81f8e86542eba4572e67bea35e",
+    ),
+    "ring": (
+        "75f95970c7d077835650bcc8810278e5f64ccc5b1864d8d06daec672569313a9",
+        "e03dd9a55989c98e8ad2bf771af8042abe8025be4a73ffc25579d650e6f41e19",
+        "cfc8e20e9da1f40128d27e7146a5ba48adb8f6b9c41732b4883b29f27da4a207",
+        "feea324228f76222eaabafe248d7d20efada273144fc215b4c462bff7d4b672b",
+    ),
+    "raising": (
+        "f81986031f94d1bb51a5922541bb1689dd9df40ea436311a38dd13b893a0abbe",
+        "91d1978c9829b13a936ddd14a1a52d65c2ce7b4a9741c7814d232c45c0ef7b1e",
+        "c9b4f26b2c0efee4c31bb1fe6b455ce2f82deba82ef0ccec045ba903cd2cacac",
+        "a2dedf6bf5ca073e33441a57ac487819ee0238f948c5a8b476515abf249247bd",
+    ),
+    "wrong_shape": (
+        "f81986031f94d1bb51a5922541bb1689dd9df40ea436311a38dd13b893a0abbe",
+        "d499cc92c916504f4ab4050db28f033a1f783b04469f1f8f775ae61d842a21c7",
+        "c9b4f26b2c0efee4c31bb1fe6b455ce2f82deba82ef0ccec045ba903cd2cacac",
+        "a2dedf6bf5ca073e33441a57ac487819ee0238f948c5a8b476515abf249247bd",
+    ),
+    "all_meadow": (
+        "17f7ac9d1b1dc7dc1a26379806694c6d6d7bec352f5a9289e64443474cff7ea4",
+        "5583b7bbaede3dc67652f6bfd788878ab542c8d7370d35826c7e91852a5241ac",
+        "e1a6b6a49e59fc354b4edc375b038cf71c40ed37db1093d1fbeb14cf5275a9bb",
+        "b225e7e6ada47ffcbd8a320ee9732d1c6fd75c925f8bd8b3135ead5761f63f5f",
+    ),
+}
+
+ONE_DISK_BACKENDS = {
+    "raising": (lambda scn: RaisingBackend(), 4000),
+    "wrong_shape": (lambda scn: AllPosidoniaBackend(scn, shape=(4, 4)), 4000),
+    "all_meadow": (lambda scn: AllPosidoniaBackend(scn), 6000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_DIGESTS))
+def test_artifact_digests_are_golden(case, request, tmp_path):
+    if case in ONE_DISK_BACKENDS:
+        make_backend, max_ticks = ONE_DISK_BACKENDS[case]
+        scn = one_disk_scenario()
+        log = run_mission(scn, make_backend(scn), max_ticks=max_ticks)
+    else:
+        scn, log = request.getfixturevalue(f"{case}_log")
+    names = write_mission_log(scn, log, tmp_path)
+    digests = tuple(hashlib.sha256((tmp_path / n).read_bytes()).hexdigest() for n in names)
+    assert digests == GOLDEN_DIGESTS[case]
