@@ -109,12 +109,12 @@ class WaterModel:
     def __post_init__(self) -> None:
         att = _triplet(self.attenuation, "attenuation")
         veil = _triplet(self.backscatter_veil, "backscatter_veil")
-        if any(c < 0 for c in att):
-            raise ValueError("attenuation coefficients must be >= 0")
+        if any(not (math.isfinite(c) and c >= 0) for c in att):
+            raise ValueError("attenuation coefficients must be finite and >= 0")
         if any(not (0.0 <= v <= 1.0) for v in veil):
             raise ValueError("backscatter_veil must lie in [0, 1]")
-        if self.speckle_density < 0:
-            raise ValueError("speckle_density must be >= 0")
+        if not (math.isfinite(self.speckle_density) and self.speckle_density >= 0):
+            raise ValueError("speckle_density must be finite and >= 0")
         if not (0.0 <= self.speckle_intensity <= 1.0):
             raise ValueError("speckle_intensity must lie in [0, 1]")
         object.__setattr__(self, "attenuation", att)

@@ -21,7 +21,7 @@ from .camera import CameraModel, pixel_to_world
 from .darkpatch import detect_dark_patches, patch_to_world
 from .geometry import ExploredMap, Polygon, explored_covers, format_ring, record_exploration
 from .imaging import Raster, write_pnm
-from .segmentation import LabelMask, SegmenterBackend, meadow_boundary, summarize
+from .segmentation import POSIDONIA, LabelMask, SegmenterBackend, meadow_boundary, summarize
 from .vehicle import (GuidanceRef, VehicleState, boundary_guidance, interior_vertices, step,
                       waypoint_guidance, wrap_angle)
 from .world import Frame, MissionConfig, Scenario, render
@@ -30,7 +30,6 @@ __all__ = [
     "MissionConfig",
     "MissionPhase",
     "MissionState",
-    "MissionDeps",
     "MissionEvent",
     "MissionLog",
     "TrajectoryRow",
@@ -93,7 +92,9 @@ class MissionState:
     refreshes it, which keeps a patch from being re-reported every tick
     while it stays in view.  track_points holds the boundary track so
     far: its first point is where tracking started, its last the
-    previous tick's position.
+    previous tick's position.  track_path is the running length of that
+    polyline, kept so a tick adds one segment instead of re-summing the
+    track.  Every way out of a dive clears all four track fields.
     """
 
     explored: ExploredMap
@@ -104,21 +105,12 @@ class MissionState:
     inspect_left: int = 0
     inspect_hits: int = 0
     inspect_rocks: int = 0
-    last_fraction: float = 0.0
     track_path: float = 0.0
     track_points: tuple[tuple[float, float], ...] = ()
     track_align_yaw: float | None = None
     lost_count: int = 0
     announcements: tuple[tuple[float, float, int], ...] = ()
     survey_samples: tuple[tuple[float, float], ...] = ()
-
-
-@dataclass(frozen=True)
-class MissionDeps:
-    """Everything run_tick consults besides the machine and vehicle states."""
-
-    scenario: Scenario
-    backend: SegmenterBackend
 
 
 @dataclass(frozen=True)
@@ -137,18 +129,23 @@ class MissionLog:
     rows: tuple[TrajectoryRow, ...]
     events: tuple[MissionEvent, ...]
     explored: ExploredMap
-    boundaries: tuple[Polygon, ...]
     completed: bool
     ticks: int
+
+    @property
+    def boundaries(self) -> tuple[Polygon, ...]:
+        """Closed boundary tracks, as committed to the explored map."""
+        return self.explored.committed_regions
 
 
 def initial_state(scenario: Scenario) -> MissionState:
     return MissionState(explored=ExploredMap(alpha=scenario.mission.explored_alpha))
 
 
-def _cover_ring(x: float, y: float, radius: float, n: int = 16) -> list[tuple[float, float]]:
+def _cover_ring(x: float, y: float, radius: float) -> list[tuple[float, float]]:
     # coarse disk outline committed around each dive so the patch and its
     # immediate surroundings count as explored afterwards
+    n = 16  # outline points
     return [
         (x + radius * math.cos(2.0 * math.pi * k / n),
          y + radius * math.sin(2.0 * math.pi * k / n))
@@ -167,22 +164,22 @@ def _fresh_match(
     return None
 
 
-def _segment_safely(deps: MissionDeps, frame: Frame):
+def _segment_safely(backend: SegmenterBackend, camera: CameraModel, frame: Frame):
     """Backend call that downgrades a failure or a mask unfit for the camera to an event."""
     try:
-        mask = deps.backend.segment(frame)
+        mask = backend.segment(frame)
     except Exception as exc:  # noqa: BLE001 - fail-safe boundary by contract
         return None, f"{type(exc).__name__}: {exc}"
     if not isinstance(mask, LabelMask):
         return None, f"backend returned {type(mask).__name__}, not a LabelMask"
-    shape = (deps.scenario.camera.height, deps.scenario.camera.width)
+    shape = (camera.height, camera.width)
     if mask.data.shape != shape:
         return None, f"mask shape {mask.data.shape} does not match the camera's {shape}"
     return mask, None
 
 
-def _hold(depth: float, yaw: float, surge: float = 0.0) -> GuidanceRef:
-    return GuidanceRef(target_depth=depth, target_surge=surge, target_yaw=yaw)
+def _hold(depth: float, yaw: float) -> GuidanceRef:
+    return GuidanceRef(target_depth=depth, target_surge=0.0, target_yaw=yaw)
 
 
 def _boundary_align_yaw(
@@ -222,13 +219,13 @@ def run_tick(
     machine: MissionState,
     vehicle: VehicleState,
     frame: Frame,
-    deps: MissionDeps,
+    scenario: Scenario,
+    backend: SegmenterBackend,
 ) -> tuple[MissionState, GuidanceRef, list[MissionEvent]]:
     """One FSM transition; returns the new machine, guidance, and events.
 
     Image positions map to the seafloor through the pose stamped on frame.
     """
-    scenario = deps.scenario
     mission = scenario.mission
     vcfg = scenario.vehicle
     inspect_depth = scenario.seafloor.seabed_depth - mission.inspect_altitude
@@ -240,6 +237,15 @@ def run_tick(
     def emit(kind: str, detail: str = "", at: tuple[float, float] | None = None) -> None:
         ex, ey = at if at is not None else (vehicle.x, vehicle.y)
         events.append(MissionEvent(now, kind, ex, ey, detail))
+
+    def ascend(machine: MissionState, **changes):
+        # the one way out of a dive: every exit clears the whole track
+        emit(ASCEND_START)
+        machine = replace(
+            machine, phase=MissionPhase.ASCEND, track_points=(), track_path=0.0,
+            track_align_yaw=None, lost_count=0, **changes,
+        )
+        return machine, _hold(mission.survey_depth, vehicle.yaw), events
 
     machine = replace(machine, tick=tick)
 
@@ -306,21 +312,28 @@ def run_tick(
             return machine, _hold(inspect_depth, vehicle.yaw), events
         return machine, ref, events
 
-    if machine.phase is MissionPhase.INSPECT:
-        mask, err = _segment_safely(deps, frame)
-        if mask is None:
-            emit(SEGMENTER_ERROR, err)
-            emit(ASCEND_START)
-            machine = replace(machine, phase=MissionPhase.ASCEND)
-            return machine, _hold(mission.survey_depth, vehicle.yaw), events
+    if machine.phase is MissionPhase.ASCEND:
+        if abs(vehicle.z - mission.survey_depth) <= vcfg.arrival_depth_tol:
+            stamped = tuple((ax, ay, tick) for ax, ay, _ in machine.announcements)
+            machine = replace(machine, phase=MissionPhase.SURVEY, announcements=stamped)
+            waypoint = scenario.waypoints[machine.waypoint_index]
+            ref, _ = waypoint_guidance(vehicle, waypoint, mission.survey_depth, vcfg)
+            return machine, ref, events
+        return machine, _hold(mission.survey_depth, vehicle.yaw), events
 
+    # INSPECT and TRACK_BOUNDARY both read the segmenter once per tick
+    mask, err = _segment_safely(backend, scenario.camera, frame)
+    if mask is None:
+        emit(SEGMENTER_ERROR, err)
+        return ascend(machine)
+
+    if machine.phase is MissionPhase.INSPECT:
         summary = summarize(mask, mission.presence_min_fraction)
         machine = replace(
             machine,
             inspect_left=machine.inspect_left - 1,
             inspect_hits=machine.inspect_hits + int(summary.has_posidonia),
             inspect_rocks=machine.inspect_rocks + int(summary.has_rocks),
-            last_fraction=summary.fractions[1],
         )
         if machine.inspect_left > 0:
             return machine, _hold(inspect_depth, vehicle.yaw), events
@@ -331,119 +344,80 @@ def run_tick(
         explored = record_exploration(machine.explored, surface, pos)
         machine = replace(machine, explored=explored, survey_samples=())
 
-        if 2 * machine.inspect_hits > mission.inspect_frames:
-            emit(POSIDONIA_FOUND, f"fraction {machine.last_fraction:.3f}")
-            align = None
-            contours = meadow_boundary(mask)
-            if contours:
-                align = _boundary_align_yaw(
-                    contours[0], scenario.camera, frame, scenario.tracking.meadow_side
-                )
-            machine = replace(
-                machine,
-                phase=MissionPhase.TRACK_BOUNDARY,
-                track_points=(pos,),
-                track_path=0.0,
-                track_align_yaw=align,
-                lost_count=0,
-            )
-            return machine, _hold(inspect_depth, vehicle.yaw), events
+        if 2 * machine.inspect_hits <= mission.inspect_frames:
+            emit(ROCKS_ONLY, "rocks" if machine.inspect_rocks else "barren")
+            return ascend(machine)
 
-        emit(ROCKS_ONLY, "rocks" if machine.inspect_rocks else "barren")
-        emit(ASCEND_START)
-        machine = replace(machine, phase=MissionPhase.ASCEND)
-        return machine, _hold(mission.survey_depth, vehicle.yaw), events
-
-    if machine.phase is MissionPhase.TRACK_BOUNDARY:
-        mask, err = _segment_safely(deps, frame)
-        if mask is None:
-            emit(SEGMENTER_ERROR, err)
-            emit(ASCEND_START)
-            machine = replace(
-                machine, phase=MissionPhase.ASCEND, track_points=(), track_align_yaw=None
-            )
-            return machine, _hold(mission.survey_depth, vehicle.yaw), events
-
-        prev, start = machine.track_points[-1], machine.track_points[0]
-        machine = replace(
-            machine,
-            track_path=machine.track_path + math.hypot(pos[0] - prev[0], pos[1] - prev[1]),
-            track_points=machine.track_points + (pos,),
-        )
-
-        if (
-            machine.track_path >= mission.min_track_path
-            and math.hypot(pos[0] - start[0], pos[1] - start[1]) <= mission.loop_close_radius
-        ):
-            ring = Polygon(np.array(machine.track_points), frame="world")
-            emit(TRACK_CLOSED, f"path {machine.track_path:.2f}")
-            emit(ASCEND_START)
-            machine = replace(
-                machine,
-                phase=MissionPhase.ASCEND,
-                explored=machine.explored.add_region(ring),
-                track_points=(), track_path=0.0, track_align_yaw=None,
-            )
-            return machine, _hold(mission.survey_depth, vehicle.yaw), events
-
-        if machine.track_align_yaw is not None:
-            # acquisition: rotate in place onto the boundary heading before
-            # the rate-based follow law takes over
-            if abs(wrap_angle(machine.track_align_yaw - vehicle.yaw)) > 0.25:
-                return machine, _hold(inspect_depth, machine.track_align_yaw), events
-            machine = replace(machine, track_align_yaw=None)
-
+        emit(POSIDONIA_FOUND, f"fraction {summary.fractions[POSIDONIA]:.3f}")
+        align = None
         contours = meadow_boundary(mask)
-        ref = None
         if contours:
-            ref = boundary_guidance(contours[0], scenario.camera, scenario.tracking, inspect_depth)
-        if ref is not None:
-            machine = replace(machine, lost_count=0)
-            return machine, ref, events
-
-        lost = machine.lost_count + 1
-        if lost >= mission.boundary_lost_limit:
-            emit(TRACK_LOST, f"path {machine.track_path:.2f}")
-            emit(ASCEND_START)
-            explored = record_exploration(machine.explored, machine.track_points, pos)
-            machine = replace(
-                machine,
-                phase=MissionPhase.ASCEND,
-                explored=explored,
-                lost_count=0,
-                track_points=(), track_path=0.0, track_align_yaw=None,
+            align = _boundary_align_yaw(
+                contours[0], scenario.camera, frame, scenario.tracking.meadow_side
             )
-            return machine, _hold(mission.survey_depth, vehicle.yaw), events
+        machine = replace(
+            machine, phase=MissionPhase.TRACK_BOUNDARY, track_points=(pos,),
+            track_align_yaw=align,
+        )
+        return machine, _hold(inspect_depth, vehicle.yaw), events
 
-        machine = replace(machine, lost_count=lost)
-        # boundary visible but not followable from this attitude: stop and
-        # re-align on it; nothing visible at all usually means the frame is
-        # wholly inside the meadow, where straight ahead finds the edge
-        if contours:
-            interior = interior_vertices(
-                contours[0], scenario.camera, scenario.tracking.border_margin
-            )
-            if interior.shape[0] >= scenario.tracking.min_band_points:
-                align = _boundary_align_yaw(
-                    contours[0], scenario.camera, frame, scenario.tracking.meadow_side
-                )
-                if align is not None:
-                    machine = replace(machine, track_align_yaw=align)
-                    return machine, _hold(inspect_depth, align), events
-        return machine, GuidanceRef(
-            target_depth=inspect_depth,
-            target_surge=scenario.tracking.track_speed,
-            target_yaw=vehicle.yaw,
-        ), events
+    # TRACK_BOUNDARY
+    prev, start = machine.track_points[-1], machine.track_points[0]
+    machine = replace(
+        machine,
+        track_path=machine.track_path + math.hypot(pos[0] - prev[0], pos[1] - prev[1]),
+        track_points=machine.track_points + (pos,),
+    )
 
-    # ASCEND
-    if abs(vehicle.z - mission.survey_depth) <= vcfg.arrival_depth_tol:
-        stamped = tuple((ax, ay, tick) for ax, ay, _ in machine.announcements)
-        machine = replace(machine, phase=MissionPhase.SURVEY, announcements=stamped)
-        waypoint = scenario.waypoints[machine.waypoint_index]
-        ref, _ = waypoint_guidance(vehicle, waypoint, mission.survey_depth, vcfg)
+    if (
+        machine.track_path >= mission.min_track_path
+        and math.hypot(pos[0] - start[0], pos[1] - start[1]) <= mission.loop_close_radius
+    ):
+        ring = Polygon(np.array(machine.track_points), frame="world")
+        emit(TRACK_CLOSED, f"path {machine.track_path:.2f}")
+        return ascend(machine, explored=machine.explored.add_region(ring))
+
+    if machine.track_align_yaw is not None:
+        # acquisition: rotate in place onto the boundary heading before
+        # the rate-based follow law takes over
+        if abs(wrap_angle(machine.track_align_yaw - vehicle.yaw)) > 0.25:
+            return machine, _hold(inspect_depth, machine.track_align_yaw), events
+        machine = replace(machine, track_align_yaw=None)
+
+    contours = meadow_boundary(mask)
+    ref = None
+    if contours:
+        ref = boundary_guidance(contours[0], scenario.camera, scenario.tracking, inspect_depth)
+    if ref is not None:
+        machine = replace(machine, lost_count=0)
         return machine, ref, events
-    return machine, _hold(mission.survey_depth, vehicle.yaw), events
+
+    lost = machine.lost_count + 1
+    if lost >= mission.boundary_lost_limit:
+        emit(TRACK_LOST, f"path {machine.track_path:.2f}")
+        explored = record_exploration(machine.explored, machine.track_points, pos)
+        return ascend(machine, explored=explored)
+
+    machine = replace(machine, lost_count=lost)
+    # boundary visible but not followable from this attitude: stop and
+    # re-align on it; nothing visible at all usually means the frame is
+    # wholly inside the meadow, where straight ahead finds the edge
+    if contours:
+        interior = interior_vertices(
+            contours[0], scenario.camera, scenario.tracking.border_margin
+        )
+        if interior.shape[0] >= scenario.tracking.min_band_points:
+            align = _boundary_align_yaw(
+                contours[0], scenario.camera, frame, scenario.tracking.meadow_side
+            )
+            if align is not None:
+                machine = replace(machine, track_align_yaw=align)
+                return machine, _hold(inspect_depth, align), events
+    return machine, GuidanceRef(
+        target_depth=inspect_depth,
+        target_surge=scenario.tracking.track_speed,
+        target_yaw=vehicle.yaw,
+    ), events
 
 
 def run_mission(scenario: Scenario, backend: SegmenterBackend, max_ticks: int) -> MissionLog:
@@ -463,16 +437,13 @@ def run_mission(scenario: Scenario, backend: SegmenterBackend, max_ticks: int) -
         u=0.0, w=0.0, r=0.0, time=0.0,
     )
     machine = initial_state(scenario)
-    deps = MissionDeps(scenario=scenario, backend=backend)
 
     rows: list[TrajectoryRow] = []
     all_events: list[MissionEvent] = []
-    ticks = 0
-    for _ in range(max_ticks):
-        ticks += 1
+    while machine.tick < max_ticks:
         altitude = scenario.seafloor.seabed_depth - vehicle.z
         frame, _ = render(scenario, vehicle.x, vehicle.y, vehicle.yaw, altitude)
-        machine, ref, events = run_tick(machine, vehicle, frame, deps)
+        machine, ref, events = run_tick(machine, vehicle, frame, scenario, backend)
 
         kinds = [e.kind for e in events] or [""]
         for kind in kinds:
@@ -489,9 +460,8 @@ def run_mission(scenario: Scenario, backend: SegmenterBackend, max_ticks: int) -
         rows=tuple(rows),
         events=tuple(all_events),
         explored=machine.explored,
-        boundaries=machine.explored.committed_regions,
         completed=machine.phase is MissionPhase.COMPLETE,
-        ticks=ticks,
+        ticks=machine.tick,
     )
 
 

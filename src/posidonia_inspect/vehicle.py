@@ -165,12 +165,13 @@ class TrackingConfig:
 
     def __post_init__(self) -> None:
         for name in ("k_tangent", "k_offset", "track_speed"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0.0):
+                raise ValueError(f"{name} must be finite and positive")
         if not 0.0 < self.band_fraction <= 0.5:
             raise ValueError("band_fraction must lie in (0, 0.5]")
-        if self.border_margin < 0.0:
-            raise ValueError("border_margin must be non-negative")
+        if not (math.isfinite(self.border_margin) and self.border_margin >= 0.0):
+            raise ValueError("border_margin must be finite and non-negative")
         if self.meadow_side not in ("left", "right"):
             raise ValueError("meadow_side must be 'left' or 'right'")
         if self.min_band_points < 2:

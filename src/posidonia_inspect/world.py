@@ -78,8 +78,8 @@ class SeafloorConfig:
             raise ValueError("label_map must be a LabelMask")
         if not (math.isfinite(self.resolution) and self.resolution > 0.0):
             raise ValueError("resolution must be positive")
-        origin = (float(self.origin[0]), float(self.origin[1]))
-        if len(self.origin) != 2 or not all(math.isfinite(v) for v in origin):
+        origin = tuple(float(v) for v in self.origin)
+        if len(origin) != 2 or not all(math.isfinite(v) for v in origin):
             raise ValueError("origin must be two finite numbers")
         if not (math.isfinite(self.seabed_depth) and self.seabed_depth > 0.0):
             raise ValueError("seabed_depth must be positive")
@@ -302,8 +302,6 @@ def render(
     scenario: Scenario, x: float, y: float, yaw: float, altitude: float
 ) -> tuple[Frame, LabelMask]:
     """Simulate one downward frame; returns the pose-stamped image and its ground truth."""
-    if not (math.isfinite(altitude) and altitude > 0.0):
-        raise ValueError("altitude must be positive")
     floor = scenario.seafloor
     gx, gy = pixel_grid_world(scenario.camera, x, y, yaw, altitude)
     ix, iy, flat, inside = _cell_index(floor, gx, gy)
@@ -348,60 +346,40 @@ class OracleSegmenter:
 # ---------------------------------------------------------------------------
 # Scenario text format
 
-_SECTIONS = ("seafloor", "water", "camera", "detector", "vehicle", "tracking", "mission", "waypoints")
-
-_INT_FIELDS = {
-    ("camera", "width"),
-    ("camera", "height"),
-    ("detector", "min_patch_area"),
-    ("water", "rng_seed"),
-    ("mission", "seed"),
-    ("mission", "inspect_frames"),
-    ("mission", "boundary_lost_limit"),
-    ("mission", "trajectory_stride"),
-    ("mission", "announce_expiry_ticks"),
-    ("tracking", "min_band_points"),
+_CONFIGS = {
+    "seafloor": SeafloorConfig,
+    "water": WaterModel,
+    "camera": CameraModel,
+    "detector": DetectorConfig,
+    "vehicle": VehicleConfig,
+    "tracking": TrackingConfig,
+    "mission": MissionConfig,
 }
-_STR_FIELDS = {("tracking", "meadow_side"), ("water", "preset"), ("seafloor", "map")}
-_PAIR_FIELDS = {("seafloor", "origin")}
-_TRIPLE_FIELDS = {
-    ("water", "attenuation"),
-    ("water", "backscatter_veil"),
-    ("seafloor", "color_sand"),
-    ("seafloor", "color_posidonia"),
-    ("seafloor", "color_rocks"),
-    ("seafloor", "color_debris"),
-}
-
+_SECTIONS = (*_CONFIGS, "waypoints")
 _COLOR_KEYS = ("color_sand", "color_posidonia", "color_debris", "color_rocks")
 
-
-def _known_keys(section: str) -> set[str]:
-    table = {
-        "seafloor": {"map", "resolution", "origin", "seabed_depth", "noise_amplitude", *_COLOR_KEYS},
-        "water": {f.name for f in fields(WaterModel)} | {"preset"},
-        "camera": {f.name for f in fields(CameraModel)},
-        "detector": {f.name for f in fields(DetectorConfig)},
-        "vehicle": {f.name for f in fields(VehicleConfig)},
-        "tracking": {f.name for f in fields(TrackingConfig)},
-        "mission": {f.name for f in fields(MissionConfig)},
-    }
-    return table[section]
+# every key a section takes, mapped to a default of the type its value parses
+# to: str, an n-tuple of floats, int or float.  The seafloor's label_map and
+# colors are written as the map and color_* keys; water also takes a preset.
+_KEY_DEFAULTS = {
+    section: {f.name: f.default for f in fields(cls) if f.name not in ("label_map", "colors")}
+    for section, cls in _CONFIGS.items()
+}
+_KEY_DEFAULTS["seafloor"].update(map="", **dict.fromkeys(_COLOR_KEYS, (0.0, 0.0, 0.0)))
+_KEY_DEFAULTS["water"]["preset"] = ""
 
 
-def _convert(section: str, key: str, raw: str):
-    spot = (section, key)
-    if spot in _STR_FIELDS:
+def _convert(default, raw: str):
+    if isinstance(default, str):
         return raw
     parts = raw.split()
-    if spot in _PAIR_FIELDS or spot in _TRIPLE_FIELDS:
-        want = 2 if spot in _PAIR_FIELDS else 3
-        if len(parts) != want:
-            raise ValueError(f"expected {want} numbers")
+    if isinstance(default, tuple):
+        if len(parts) != len(default):
+            raise ValueError(f"expected {len(default)} numbers")
         return tuple(float(p) for p in parts)
     if len(parts) != 1:
         raise ValueError("expected a single value")
-    if spot in _INT_FIELDS:
+    if isinstance(default, int):
         return int(parts[0])
     return float(parts[0])
 
@@ -448,7 +426,7 @@ def parse_scenario_text(text: str, base_dir=".", source: str = "<scenario>") -> 
         if not eq or not key or not value:
             errors.append(f"{source}:{ln}: expected 'key = value', got {line!r}")
             continue
-        if key not in _known_keys(current):
+        if key not in _KEY_DEFAULTS[current]:
             errors.append(f"{source}:{ln}: unknown key '{key}' in [{current}]")
             continue
         if key in sections[current]:
@@ -463,7 +441,7 @@ def parse_scenario_text(text: str, base_dir=".", source: str = "<scenario>") -> 
         out = {}
         for key, (ln, value) in entries.items():
             try:
-                out[key] = _convert(section, key, value)
+                out[key] = _convert(_KEY_DEFAULTS[section][key], value)
             except ValueError as exc:
                 errors.append(f"{source}:{ln}: [{section}] {key}: {exc}")
         parsed[section] = out
@@ -512,23 +490,15 @@ def parse_scenario_text(text: str, base_dir=".", source: str = "<scenario>") -> 
     else:
         water = build("water", WaterModel, water_kwargs)
 
-    camera = build("camera", CameraModel, parsed.get("camera", {}))
-    detector = build("detector", DetectorConfig, parsed.get("detector", {}))
-    vehicle = build("vehicle", VehicleConfig, parsed.get("vehicle", {}))
-    tracking = build("tracking", TrackingConfig, parsed.get("tracking", {}))
-    mission = build("mission", MissionConfig, parsed.get("mission", {}))
+    configs = {
+        section: build(section, _CONFIGS[section], parsed.get(section, {}))
+        for section in ("camera", "detector", "vehicle", "tracking", "mission")
+    }
 
     scenario = None
     if not errors and seafloor is not None:
         scenario = Scenario(
-            seafloor=seafloor,
-            water=water,
-            camera=camera,
-            detector=detector,
-            vehicle=vehicle,
-            tracking=tracking,
-            mission=mission,
-            waypoints=tuple(waypoints),
+            seafloor=seafloor, water=water, **configs, waypoints=tuple(waypoints)
         )
         errors.extend(f"{source}: {p}" for p in validate_scenario(scenario))
 
@@ -567,14 +537,10 @@ def save_scenario(scenario: Scenario, path, map_filename: str | None = None) -> 
     for key, rgb in zip(_COLOR_KEYS, floor.colors):
         lines.append(f"{key} = {_fmt(rgb[0])} {_fmt(rgb[1])} {_fmt(rgb[2])}")
 
-    for section, cfg in (
-        ("water", scenario.water),
-        ("camera", scenario.camera),
-        ("detector", scenario.detector),
-        ("vehicle", scenario.vehicle),
-        ("tracking", scenario.tracking),
-        ("mission", scenario.mission),
-    ):
+    for section in _CONFIGS:
+        if section == "seafloor":
+            continue
+        cfg = getattr(scenario, section)
         lines.append("")
         lines.append(f"[{section}]")
         for f in fields(cfg):

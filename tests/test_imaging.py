@@ -298,6 +298,18 @@ class TestWaterModel:
         with pytest.raises(ValueError):
             WaterModel(backscatter_veil=(0.0, 2.0, 0.0))
 
+    @pytest.mark.parametrize("field, value", [
+        ("attenuation", (math.nan, 0.0, 0.0)),
+        ("attenuation", (0.0, math.inf, 0.0)),
+        ("backscatter_veil", (0.0, math.nan, 0.0)),
+        ("speckle_density", math.nan),
+        ("speckle_density", math.inf),
+        ("speckle_intensity", math.nan),
+    ])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            WaterModel(**{field: value})
+
     def test_scalar_broadcast(self):
         w = WaterModel(attenuation=0.2, backscatter_veil=0.1)
         assert w.attenuation == (0.2, 0.2, 0.2)

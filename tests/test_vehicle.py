@@ -208,3 +208,9 @@ class TestTrackingConfig:
     def test_rejects_bad_band(self):
         with pytest.raises(ValueError):
             TrackingConfig(band_fraction=0.9)
+
+    @pytest.mark.parametrize("field", ["k_tangent", "k_offset", "track_speed", "border_margin"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrackingConfig(**{field: value})

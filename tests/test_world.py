@@ -58,6 +58,11 @@ class TestSeafloorConfig:
         with pytest.raises(ValueError):
             SeafloorConfig(checker_map(), resolution=0.0)
 
+    @pytest.mark.parametrize("origin", [(1.0,), (1.0, 2.0, 3.0), (0.0, float("nan"))])
+    def test_rejects_bad_origin(self, origin):
+        with pytest.raises(ValueError, match="origin"):
+            SeafloorConfig(checker_map(), origin=origin)
+
     def test_rejects_bad_colors(self):
         with pytest.raises(ValueError):
             SeafloorConfig(checker_map(), colors=((0.0, 0.0, 0.0),))
@@ -391,3 +396,52 @@ class TestScenarioText:
         )
         with pytest.raises(ValueError, match="inspect_altitude"):
             parse_scenario_text(text, base_dir=str(tmp_path))
+
+    def test_non_finite_numbers_rejected_by_section(self, tmp_path):
+        from posidonia_inspect.segmentation import write_mask
+
+        write_mask(checker_map(), tmp_path / "floor.pgm")
+        text = (
+            "[seafloor]\nmap = floor.pgm\nresolution = 1.0\n"
+            "[water]\nspeckle_density = nan\nattenuation = nan 0.1 0.1\n"
+            "[tracking]\nk_tangent = nan\nborder_margin = inf\n"
+            "[waypoints]\n5 5\n"
+        )
+        with pytest.raises(ValueError) as exc:
+            parse_scenario_text(text, base_dir=str(tmp_path), source="bad.scn")
+        msg = str(exc.value)
+        assert "bad.scn: [water]" in msg
+        assert "bad.scn: [tracking]" in msg
+
+    @pytest.mark.parametrize("section, key", [
+        ("seafloor", "label_map"), ("seafloor", "colors"), ("water", "map"),
+        ("camera", "preset"), ("mission", "color_sand"),
+    ])
+    def test_keys_outside_the_format_are_unknown(self, tmp_path, section, key):
+        from posidonia_inspect.segmentation import write_mask
+
+        write_mask(checker_map(), tmp_path / "floor.pgm")
+        text = (
+            "[seafloor]\nmap = floor.pgm\nresolution = 1.0\n"
+            f"[{section}]\n{key} = 1\n[waypoints]\n5 5\n"
+        )
+        with pytest.raises(ValueError, match=f"unknown key '{key}' in \\[{section}\\]"):
+            parse_scenario_text(text, base_dir=str(tmp_path))
+
+    def test_key_types_follow_field_defaults(self, tmp_path):
+        from posidonia_inspect.segmentation import write_mask
+
+        write_mask(checker_map(), tmp_path / "floor.pgm")
+        text = (
+            "[seafloor]\nmap = floor.pgm\nresolution = 1\norigin = 0 0\n"
+            "color_rocks = 0.1 0.2 0.3\n"
+            "[camera]\nwidth = 2.5\n[mission]\nseed = 1 2\n[water]\nattenuation = 0.1\n"
+            "[waypoints]\n5 5\n"
+        )
+        with pytest.raises(ValueError) as exc:
+            parse_scenario_text(text, base_dir=str(tmp_path), source="t.scn")
+        msg = str(exc.value)
+        assert "t.scn:7: [camera] width: invalid literal for int()" in msg
+        assert "t.scn:9: [mission] seed: expected a single value" in msg
+        assert "t.scn:11: [water] attenuation: expected 3 numbers" in msg
+        assert "[seafloor]" not in msg
