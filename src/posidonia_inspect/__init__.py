@@ -9,7 +9,7 @@ map so a survey never dives twice on the same spot.
 __version__ = "0.1.0"
 
 from .camera import CameraModel, footprint_polygon, pixel_to_world
-from .darkpatch import DarkPatchReport, DetectorConfig, detect_dark_patches, patch_to_world
+from .darkpatch import DarkPatchReport, DetectorConfig, detect_dark_patches
 from .dataset import SplitSpec, augment_image, augment_mask, rasterize_annotation, split, split_sizes
 from .geometry import (
     ExploredMap,
@@ -60,7 +60,6 @@ __all__ = [
     "DarkPatchReport",
     "DetectorConfig",
     "detect_dark_patches",
-    "patch_to_world",
     "SplitSpec",
     "augment_image",
     "augment_mask",

@@ -69,6 +69,17 @@ def _check_altitude(altitude: float) -> float:
     return alt
 
 
+def _centre_offsets(camera: CameraModel, col, row):
+    # pixel centres as (forward, right) fractions of the footprint, in [-0.5, 0.5]
+    return 0.5 - (row + 0.5) / camera.height, (col + 0.5) / camera.width - 0.5
+
+
+def _to_local(camera: CameraModel, forward_u, right_u, altitude: float):
+    # footprint fractions to (forward, right) ground offsets
+    alt = _check_altitude(altitude)
+    return forward_u * 2.0 * alt * camera.tan_half_v, right_u * 2.0 * alt * camera.tan_half_h
+
+
 def footprint_half_extents(camera: CameraModel, altitude: float) -> tuple[float, float]:
     """Half extents (lateral, forward) of the imaged ground rectangle."""
     alt = _check_altitude(altitude)
@@ -82,11 +93,8 @@ def pixel_to_local(
 
     Accepts scalars or arrays; returns matching float arrays or floats.
     """
-    alt = _check_altitude(altitude)
-    u = (np.asarray(col, dtype=float) + 0.5) / camera.width
-    v = (np.asarray(row, dtype=float) + 0.5) / camera.height
-    right = (u - 0.5) * 2.0 * alt * camera.tan_half_h
-    forward = (0.5 - v) * 2.0 * alt * camera.tan_half_v
+    offsets = _centre_offsets(camera, np.asarray(col, dtype=float), np.asarray(row, dtype=float))
+    forward, right = _to_local(camera, *offsets, altitude)
     if np.isscalar(col) and np.isscalar(row):
         return float(forward), float(right)
     return forward, right
@@ -148,15 +156,16 @@ def footprint_polygon(
     for f_sign, r_sign in ((1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (-1.0, 1.0)):
         wx, wy = local_to_world(x, y, yaw, f_sign * half_f, r_sign * half_r)
         corners.append((wx, wy))
-    return Polygon(np.array(corners, dtype=float), frame="world")
+    return Polygon(np.array(corners, dtype=float))
 
 
 @functools.lru_cache(maxsize=8)
 def _unit_grid(camera: CameraModel) -> tuple[np.ndarray, np.ndarray]:
-    # altitude-independent pixel-center offsets in [-0.5, 0.5]
-    cols = (np.arange(camera.width, dtype=float) + 0.5) / camera.width - 0.5
-    rows = 0.5 - (np.arange(camera.height, dtype=float) + 0.5) / camera.height
-    right_u, forward_u = np.meshgrid(cols, rows)
+    # altitude-independent pixel-centre offsets of every pixel
+    cols, rows = np.meshgrid(
+        np.arange(camera.width, dtype=float), np.arange(camera.height, dtype=float)
+    )
+    forward_u, right_u = _centre_offsets(camera, cols, rows)
     right_u.setflags(write=False)
     forward_u.setflags(write=False)
     return forward_u, right_u
@@ -166,8 +175,5 @@ def pixel_grid_world(
     camera: CameraModel, x: float, y: float, yaw: float, altitude: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """World coordinates of every pixel center as two (H, W) arrays."""
-    alt = _check_altitude(altitude)
-    forward_u, right_u = _unit_grid(camera)
-    forward = forward_u * 2.0 * alt * camera.tan_half_v
-    right = right_u * 2.0 * alt * camera.tan_half_h
+    forward, right = _to_local(camera, *_unit_grid(camera), altitude)
     return local_to_world(x, y, yaw, forward, right)

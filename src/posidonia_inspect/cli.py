@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .darkpatch import DetectorConfig, detect_dark_patches, report_lines
+from .darkpatch import detect_dark_patches, report_lines
 from .dataset import (
     SplitSpec,
     augment_image,
@@ -139,11 +139,7 @@ def cmd_survey_run(args) -> int:
 
 def cmd_detect(args) -> int:
     img = _load_image(args.image)
-    try:
-        config = DetectorConfig()
-    except ValueError as exc:
-        raise CommandError(str(exc)) from exc
-    report = detect_dark_patches(img, config, vehicle_depth=args.depth)
+    report = detect_dark_patches(img, vehicle_depth=args.depth)
     for line in report_lines(report):
         print(line)
     log.info("%d patches, %d excluded", len(report.patches), report.excluded_count)

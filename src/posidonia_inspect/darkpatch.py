@@ -15,16 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .camera import CameraModel, pixel_to_world
 from .geometry import label_components
-from .imaging import Raster
+from .imaging import Raster, value_channel
 
 __all__ = [
     "DetectorConfig",
     "DarkPatch",
     "DarkPatchReport",
     "detect_dark_patches",
-    "patch_to_world",
     "report_lines",
 ]
 
@@ -74,13 +72,6 @@ class DarkPatchReport:
     white_threshold: float
 
 
-def _value_channel(data: np.ndarray) -> np.ndarray:
-    if data.shape[2] == 1:
-        return data[:, :, 0]
-    # chained over the planes: an axis-2 reduction loops over only 3 values
-    return np.maximum(np.maximum(data[:, :, 0], data[:, :, 1]), data[:, :, 2])
-
-
 def detect_dark_patches(
     img: Raster,
     config: DetectorConfig | None = None,
@@ -90,7 +81,7 @@ def detect_dark_patches(
     dark_thr, white_thr = cfg.thresholds(vehicle_depth)
 
     data = img.data
-    value = _value_channel(data)
+    value = value_channel(data)
     bright = value > white_thr
     if bright.any():
         clamped = np.empty_like(data)
@@ -98,7 +89,7 @@ def detect_dark_patches(
             med = ndimage.median_filter(data[:, :, c], size=3)
             clamped[:, :, c] = np.where(bright, med, data[:, :, c])
         data = clamped
-        value = _value_channel(data)
+        value = value_channel(data)
 
     dark = value < dark_thr
     labels, count = label_components(dark)
@@ -132,18 +123,6 @@ def detect_dark_patches(
         dark_threshold=dark_thr,
         white_threshold=white_thr,
     )
-
-
-def patch_to_world(
-    patch: DarkPatch,
-    camera: CameraModel,
-    x: float,
-    y: float,
-    yaw: float,
-    altitude: float,
-) -> tuple[float, float]:
-    """Seafloor position under a patch centroid for the given viewpoint."""
-    return pixel_to_world(camera, patch.centroid[0], patch.centroid[1], x, y, yaw, altitude)
 
 
 def report_lines(report: DarkPatchReport) -> list[str]:

@@ -43,10 +43,9 @@ class DegenerateInputError(ValueError):
 
 @dataclass(frozen=True)
 class Polygon:
-    """Closed polygon; frame is "pixel" or "world"."""
+    """Closed polygon in pixel (col, row) or world (x, y) coordinates."""
 
     vertices: np.ndarray
-    frame: str = "world"
 
     def __post_init__(self) -> None:
         verts = np.asarray(self.vertices, dtype=np.float64)
@@ -54,8 +53,6 @@ class Polygon:
             raise ValueError("polygon needs an (N, 2) vertex array with N >= 3")
         if not np.all(np.isfinite(verts)):
             raise ValueError("polygon vertices must be finite")
-        if self.frame not in ("pixel", "world"):
-            raise ValueError(f"unknown polygon frame {self.frame!r}")
         verts = np.ascontiguousarray(verts)
         verts.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
@@ -134,9 +131,9 @@ def trace_component(labels: np.ndarray, lab: int) -> Polygon:
     verts = [(float(c), float(r)) for r, c in ring]
     while len(verts) < 3:  # degenerate 1- or 2-pixel blobs
         verts.append(verts[0])
-    poly = Polygon(np.array(verts), frame="pixel")
+    poly = Polygon(np.array(verts))
     if polygon_area(poly) < 0.0:
-        poly = Polygon(poly.vertices[::-1], frame="pixel")
+        poly = Polygon(poly.vertices[::-1])
     return poly
 
 
@@ -188,7 +185,7 @@ def convex_hull(points) -> Polygon:
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:
         raise DegenerateInputError("points are collinear")
-    return Polygon(np.array(hull), frame="world")
+    return Polygon(np.array(hull))
 
 
 def _delaunay(pts: np.ndarray) -> Delaunay:
@@ -276,7 +273,7 @@ def alpha_shape(points, alpha: float) -> list[Polygon]:
             if v == u0:
                 break
             u, v = v, next(w for w in succ[v] if (v, w) in unused)
-        rings.append(Polygon(pts[loop[:-1]], frame="world"))
+        rings.append(Polygon(pts[loop[:-1]]))
     return rings
 
 
@@ -400,10 +397,10 @@ def format_ring(poly: Polygon) -> str:
     return f"ring: {pairs}"
 
 
-def parse_ring(line: str, frame: str = "world") -> Polygon:
+def parse_ring(line: str) -> Polygon:
     m = _RING_RE.match(line.strip())
     if not m:
         raise ValueError(f"not a ring line: {line!r}")
     pairs = re.findall(r"\((-?[0-9.eE+-]+),(-?[0-9.eE+-]+)\)", m.group(1))
     verts = np.array([(float(x), float(y)) for x, y in pairs])
-    return Polygon(verts, frame=frame)
+    return Polygon(verts)

@@ -17,6 +17,7 @@ __all__ = [
     "HsvRaster",
     "WaterModel",
     "WATER_PRESETS",
+    "value_channel",
     "to_hsv",
     "hsv_to_rgb",
     "equalize_histogram",
@@ -129,6 +130,14 @@ WATER_PRESETS: dict[str, WaterModel] = {
 }
 
 
+def value_channel(data: np.ndarray) -> np.ndarray:
+    """HSV value of (H, W, 1|3) intensities: the largest channel of each pixel."""
+    if data.shape[2] == 1:
+        return data[:, :, 0]
+    # chained over the planes: an axis-2 reduction loops over only 3 values
+    return np.maximum(np.maximum(data[:, :, 0], data[:, :, 1]), data[:, :, 2])
+
+
 def to_hsv(img: Raster) -> HsvRaster:
     """Convert an RGB raster to HSV.
 
@@ -139,8 +148,7 @@ def to_hsv(img: Raster) -> HsvRaster:
         raise ValueError("to_hsv requires a 3-channel raster")
     rgb = img.data
     r, g, b = rgb[:, :, 0], rgb[:, :, 1], rgb[:, :, 2]
-    # chained over the planes: an axis-2 reduction loops over only 3 values
-    cmax = np.maximum(np.maximum(r, g), b)
+    cmax = value_channel(rgb)
     cmin = np.minimum(np.minimum(r, g), b)
     delta = cmax - cmin
 

@@ -18,13 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from .camera import CameraModel, pixel_to_world
-from .darkpatch import detect_dark_patches, patch_to_world
+from .darkpatch import detect_dark_patches
 from .geometry import ExploredMap, Polygon, explored_covers, format_ring, record_exploration
 from .imaging import Raster, write_pnm
 from .segmentation import POSIDONIA, LabelMask, SegmenterBackend, meadow_boundary, summarize
 from .vehicle import (GuidanceRef, VehicleState, boundary_guidance, interior_vertices, step,
                       waypoint_guidance, wrap_angle)
-from .world import Frame, MissionConfig, Scenario, render
+from .world import Frame, MissionConfig, Scenario, _cell_index, render
 
 __all__ = [
     "MissionConfig",
@@ -258,8 +258,8 @@ def run_tick(
 
         report = detect_dark_patches(frame, scenario.detector, vehicle_depth=vehicle.z)
         for patch in report.patches:
-            wx, wy = patch_to_world(
-                patch, scenario.camera, frame.x, frame.y, frame.yaw, frame.altitude
+            wx, wy = pixel_to_world(
+                scenario.camera, *patch.centroid, frame.x, frame.y, frame.yaw, frame.altitude
             )
             hit = _fresh_match(machine, mission, wx, wy, tick)
             if hit is not None:
@@ -350,10 +350,10 @@ def run_tick(
 
         emit(POSIDONIA_FOUND, f"fraction {summary.fractions[POSIDONIA]:.3f}")
         align = None
-        contours = meadow_boundary(mask)
-        if contours:
+        contour = meadow_boundary(mask)
+        if contour is not None:
             align = _boundary_align_yaw(
-                contours[0], scenario.camera, frame, scenario.tracking.meadow_side
+                contour, scenario.camera, frame, scenario.tracking.meadow_side
             )
         machine = replace(
             machine, phase=MissionPhase.TRACK_BOUNDARY, track_points=(pos,),
@@ -373,7 +373,7 @@ def run_tick(
         machine.track_path >= mission.min_track_path
         and math.hypot(pos[0] - start[0], pos[1] - start[1]) <= mission.loop_close_radius
     ):
-        ring = Polygon(np.array(machine.track_points), frame="world")
+        ring = Polygon(np.array(machine.track_points))
         emit(TRACK_CLOSED, f"path {machine.track_path:.2f}")
         return ascend(machine, explored=machine.explored.add_region(ring))
 
@@ -384,10 +384,10 @@ def run_tick(
             return machine, _hold(inspect_depth, machine.track_align_yaw), events
         machine = replace(machine, track_align_yaw=None)
 
-    contours = meadow_boundary(mask)
+    contour = meadow_boundary(mask)
     ref = None
-    if contours:
-        ref = boundary_guidance(contours[0], scenario.camera, scenario.tracking, inspect_depth)
+    if contour is not None:
+        ref = boundary_guidance(contour, scenario.camera, scenario.tracking, inspect_depth)
     if ref is not None:
         machine = replace(machine, lost_count=0)
         return machine, ref, events
@@ -402,13 +402,11 @@ def run_tick(
     # boundary visible but not followable from this attitude: stop and
     # re-align on it; nothing visible at all usually means the frame is
     # wholly inside the meadow, where straight ahead finds the edge
-    if contours:
-        interior = interior_vertices(
-            contours[0], scenario.camera, scenario.tracking.border_margin
-        )
+    if contour is not None:
+        interior = interior_vertices(contour, scenario.camera, scenario.tracking.border_margin)
         if interior.shape[0] >= scenario.tracking.min_band_points:
             align = _boundary_align_yaw(
-                contours[0], scenario.camera, frame, scenario.tracking.meadow_side
+                contour, scenario.camera, frame, scenario.tracking.meadow_side
             )
             if align is not None:
                 machine = replace(machine, track_align_yaw=align)
@@ -472,31 +470,24 @@ _TRAJ_HEADER = "t,x,y,z,yaw,state,event"
 
 
 def render_overview(scenario: Scenario, log: MissionLog) -> Raster:
-    """Top-down map: floor palette, trajectory, patch events, polygons."""
+    """Top-down map: floor palette, then explored, trajectory, boundaries, patch events."""
     floor = scenario.seafloor
-    grid = floor.label_map.data
-    palette = np.asarray(floor.colors, dtype=float)
-    img = palette[grid[::-1]]  # row 0 shows the north edge
-    rows, cols = grid.shape
+    img = np.asarray(floor.colors, dtype=float)[floor.label_map.data]
+    cells = img.reshape(-1, 3)
 
-    def put(wx: float, wy: float, color: tuple[float, float, float]) -> None:
-        ix = int(math.floor((wx - floor.origin[0]) / floor.resolution))
-        iy = int(math.floor((wy - floor.origin[1]) / floor.resolution))
-        if 0 <= ix < cols and 0 <= iy < rows:
-            img[rows - 1 - iy, ix] = color
+    def paint(points, color: tuple[float, float, float]) -> None:
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        _, _, flat, inside = _cell_index(floor, pts[:, 0], pts[:, 1])
+        cells[flat if inside is None else flat[inside]] = color
 
     for poly in log.explored.polygons:
-        for wx, wy in poly.vertices:
-            put(wx, wy, (0.0, 0.85, 0.85))
-    for row in log.rows:
-        put(row.x, row.y, (1.0, 1.0, 1.0))
+        paint(poly.vertices, (0.0, 0.85, 0.85))
+    paint([(row.x, row.y) for row in log.rows], (1.0, 1.0, 1.0))
     for poly in log.boundaries:
-        for wx, wy in poly.vertices:
-            put(wx, wy, (1.0, 0.9, 0.1))
-    for ev in log.events:
-        if ev.kind in (PATCH_DETECTED, PATCH_SKIPPED_EXPLORED):
-            put(ev.x, ev.y, (1.0, 0.15, 0.15))
-    return Raster(img)
+        paint(poly.vertices, (1.0, 0.9, 0.1))
+    paint([(ev.x, ev.y) for ev in log.events
+           if ev.kind in (PATCH_DETECTED, PATCH_SKIPPED_EXPLORED)], (1.0, 0.15, 0.15))
+    return Raster(img[::-1])  # row 0 shows the north edge
 
 
 def write_mission_log(scenario: Scenario, log: MissionLog, out_dir) -> list[str]:

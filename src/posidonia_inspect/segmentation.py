@@ -235,15 +235,12 @@ def summarize(mask: LabelMask, min_fraction: float = 0.05) -> SegmentationSummar
     )
 
 
-def meadow_boundary(mask: LabelMask) -> list[Polygon]:
-    """Outer contours of posidonia regions, largest component first."""
-    binary = mask.data == POSIDONIA
-    labels, count = label_components(binary)
+def meadow_boundary(mask: LabelMask) -> Polygon | None:
+    """Outer contour of the largest posidonia region (lowest label on a tie), or None."""
+    labels, count = label_components(mask.data == POSIDONIA)
     if count == 0:
-        return []
-    sizes = np.bincount(labels.ravel())
-    order = sorted(range(1, count + 1), key=lambda lab: (-int(sizes[lab]), lab))
-    return [trace_component(labels, lab) for lab in order]
+        return None
+    return trace_component(labels, 1 + int(np.argmax(np.bincount(labels.ravel())[1:])))
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from posidonia_inspect.camera import CameraModel
 from posidonia_inspect.darkpatch import (
-    DarkPatchReport,
     DetectorConfig,
-    _value_channel,
     detect_dark_patches,
-    patch_to_world,
     report_lines,
 )
-from posidonia_inspect.imaging import Raster
+from posidonia_inspect.imaging import Raster, value_channel
 
 
 def scene(width=120, height=100, floor=0.8):
@@ -154,28 +150,7 @@ class TestDetect:
 )
 @settings(max_examples=80)
 def test_value_channel_is_channel_max(data):
-    assert _value_channel(data).tobytes() == data.max(axis=2).tobytes()
-
-
-class TestPatchToWorld:
-    CAM = CameraModel(90.0, 70.0, 128, 96)
-
-    def test_center_patch_is_under_vehicle(self):
-        report = DarkPatchReport((), 0, 0.2, 0.85)
-        del report
-        from posidonia_inspect.darkpatch import DarkPatch
-
-        p = DarkPatch(1, ((self.CAM.width - 1) / 2.0, (self.CAM.height - 1) / 2.0), 50, 0.05)
-        wx, wy = patch_to_world(p, self.CAM, 7.0, -2.0, 1.3, 5.0)
-        assert wx == pytest.approx(7.0, abs=1e-9)
-        assert wy == pytest.approx(-2.0, abs=1e-9)
-
-    def test_top_center_is_ahead(self):
-        from posidonia_inspect.darkpatch import DarkPatch
-
-        p = DarkPatch(1, ((self.CAM.width - 1) / 2.0, 0.0), 50, 0.05)
-        wx, wy = patch_to_world(p, self.CAM, 0.0, 0.0, 0.0, 5.0)
-        assert wx > 0 and abs(wy) < 1e-9
+    assert value_channel(data).tobytes() == data.max(axis=2).tobytes()
 
 
 class TestReportLines:

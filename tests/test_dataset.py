@@ -107,7 +107,7 @@ class TestRasterize:
     def test_matches_point_in_region(self, pts):
         arr = np.asarray(pts, dtype=float)
         try:
-            poly = Polygon(arr, frame="pixel")
+            poly = Polygon(arr)
         except ValueError:
             return
         ann = ImageAnnotation("h", 8, 8, (AnnotatedRegion(1, arr),))

@@ -30,10 +30,6 @@ class TestPolygon:
         with pytest.raises(ValueError):
             Polygon(np.array([[0.0, 0.0], [1.0, 1.0]]))
 
-    def test_rejects_unknown_frame(self):
-        with pytest.raises(ValueError):
-            Polygon(np.array([[0, 0], [1, 0], [0, 1]]), frame="map")
-
     def test_area_sign(self):
         ccw = Polygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
         assert polygon_area(ccw) == pytest.approx(1.0)

@@ -172,22 +172,26 @@ class TestMeadowBoundary:
         data = np.zeros((12, 12), dtype=np.uint8)
         data[1:3, 1:3] = POSIDONIA  # 4 px
         data[5:10, 5:10] = POSIDONIA  # 25 px
-        polys = meadow_boundary(LabelMask(data))
-        assert len(polys) == 2
-        assert polys[0].vertices[:, 0].min() >= 5.0
-        assert polys[1].vertices[:, 0].max() <= 2.0
+        poly = meadow_boundary(LabelMask(data))
+        assert poly.vertices[:, 0].min() >= 5.0
+
+    def test_size_tie_takes_lowest_label(self):
+        data = np.zeros((8, 8), dtype=np.uint8)
+        data[5:7, 1:3] = POSIDONIA
+        data[1:3, 5:7] = POSIDONIA  # same size, first in scan order
+        poly = meadow_boundary(LabelMask(data))
+        assert poly.vertices[:, 1].max() <= 2.0
 
     def test_no_meadow(self):
         data = np.full((5, 5), ROCKS, dtype=np.uint8)
-        assert meadow_boundary(LabelMask(data)) == []
+        assert meadow_boundary(LabelMask(data)) is None
 
     def test_ignores_other_classes(self):
         data = np.zeros((6, 6), dtype=np.uint8)
         data[0:2, 0:2] = DEBRIS
         data[3:5, 3:5] = POSIDONIA
-        polys = meadow_boundary(LabelMask(data))
-        assert len(polys) == 1
-        assert polys[0].vertices[:, 0].min() >= 3.0
+        poly = meadow_boundary(LabelMask(data))
+        assert poly.vertices[:, 0].min() >= 3.0
 
 
 class TestIoU:

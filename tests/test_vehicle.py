@@ -150,7 +150,7 @@ def band_polygon(col_of_row, height=96, extra=None):
     verts = [(col_of_row(r), r) for r in rows]
     if extra:
         verts.extend(extra)
-    return Polygon(np.asarray(verts, dtype=float), frame="pixel")
+    return Polygon(np.asarray(verts, dtype=float))
 
 
 class TestBoundaryGuidance:
@@ -186,12 +186,12 @@ class TestBoundaryGuidance:
 
     def test_all_border_vertices_is_lost(self):
         verts = [(0.0, r) for r in range(10, 90)] + [(127.0, 40.0), (127.0, 41.0), (0.5, 42.0)]
-        poly = Polygon(np.asarray(verts, dtype=float), frame="pixel")
+        poly = Polygon(np.asarray(verts, dtype=float))
         assert boundary_guidance(poly, CAM, self.TCFG, 10.0) is None
 
     def test_vertices_outside_band_is_lost(self):
         verts = [(60.0, 2.0), (61.0, 3.0), (62.0, 4.0)]
-        poly = Polygon(np.asarray(verts, dtype=float), frame="pixel")
+        poly = Polygon(np.asarray(verts, dtype=float))
         assert boundary_guidance(poly, CAM, self.TCFG, 10.0) is None
 
     def test_depth_passthrough(self):
