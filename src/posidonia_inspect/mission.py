@@ -238,12 +238,28 @@ def run_tick(
         ex, ey = at if at is not None else (vehicle.x, vehicle.y)
         events.append(MissionEvent(now, kind, ex, ey, detail))
 
-    def ascend(machine: MissionState, **changes):
-        # the one way out of a dive: every exit clears the whole track
+    def commit(machine: MissionState) -> MissionState:
+        # what the dive saw joins the explored map: the buffered survey line
+        # and the cover ring when it leaves INSPECT, the track so far when
+        # it leaves TRACK_BOUNDARY
+        if machine.phase is MissionPhase.INSPECT:
+            seen = list(machine.survey_samples) + _cover_ring(*pos, mission.cover_radius)
+        else:
+            seen = machine.track_points
+        explored = record_exploration(machine.explored, seen, pos)
+        return replace(machine, explored=explored, survey_samples=())
+
+    def ascend(machine: MissionState, closed: Polygon | None = None):
+        # the one way out of a dive: a closed track adds its ring, any other
+        # exit commits what the dive saw; every exit clears the whole track
         emit(ASCEND_START)
+        if closed is None:
+            machine = commit(machine)
+        else:
+            machine = replace(machine, explored=machine.explored.add_region(closed))
         machine = replace(
             machine, phase=MissionPhase.ASCEND, track_points=(), track_path=0.0,
-            track_align_yaw=None, lost_count=0, **changes,
+            track_align_yaw=None, lost_count=0,
         )
         return machine, _hold(mission.survey_depth, vehicle.yaw), events
 
@@ -338,17 +354,14 @@ def run_tick(
         if machine.inspect_left > 0:
             return machine, _hold(inspect_depth, vehicle.yaw), events
 
-        # decision frame: commit the dive and buffered survey line to the
-        # explored map before announcing the outcome
-        surface = list(machine.survey_samples) + _cover_ring(*pos, mission.cover_radius)
-        explored = record_exploration(machine.explored, surface, pos)
-        machine = replace(machine, explored=explored, survey_samples=())
-
         if 2 * machine.inspect_hits <= mission.inspect_frames:
             emit(ROCKS_ONLY, "rocks" if machine.inspect_rocks else "barren")
             return ascend(machine)
 
+        # a meadow commits the dive at the decision frame, so a run cut
+        # short while tracking still holds it
         emit(POSIDONIA_FOUND, f"fraction {summary.fractions[POSIDONIA]:.3f}")
+        machine = commit(machine)
         align = None
         contour = meadow_boundary(mask)
         if contour is not None:
@@ -373,9 +386,8 @@ def run_tick(
         machine.track_path >= mission.min_track_path
         and math.hypot(pos[0] - start[0], pos[1] - start[1]) <= mission.loop_close_radius
     ):
-        ring = Polygon(np.array(machine.track_points))
         emit(TRACK_CLOSED, f"path {machine.track_path:.2f}")
-        return ascend(machine, explored=machine.explored.add_region(ring))
+        return ascend(machine, closed=Polygon(np.array(machine.track_points)))
 
     if machine.track_align_yaw is not None:
         # acquisition: rotate in place onto the boundary heading before
@@ -395,8 +407,7 @@ def run_tick(
     lost = machine.lost_count + 1
     if lost >= mission.boundary_lost_limit:
         emit(TRACK_LOST, f"path {machine.track_path:.2f}")
-        explored = record_exploration(machine.explored, machine.track_points, pos)
-        return ascend(machine, explored=explored)
+        return ascend(machine)
 
     machine = replace(machine, lost_count=lost)
     # boundary visible but not followable from this attitude: stop and

@@ -1,5 +1,6 @@
 import hashlib
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -91,6 +92,20 @@ class AllPosidoniaBackend:
 
     def segment(self, img):
         return LabelMask(np.full(self.shape, POSIDONIA, dtype=np.uint8))
+
+
+class FailAfterBackend:
+    """Oracle masks for the first `good` frames, then a sensor dropout."""
+
+    def __init__(self, scenario: Scenario, good: int):
+        self.oracle = OracleSegmenter(scenario)
+        self.left = good
+
+    def segment(self, img):
+        if self.left == 0:
+            raise RuntimeError("sensor dropout")
+        self.left -= 1
+        return self.oracle.segment(img)
 
 
 class TestMissionEvent:
@@ -194,6 +209,35 @@ class TestFailSafe:
         detail = next(e.detail for e in log.events if e.kind == "SEGMENTER_ERROR")
         assert "RuntimeError" in detail
 
+    def test_failing_backend_dives_once_per_patch(self):
+        # flown there and back: every errored dive still counts as explored,
+        # so the return pass skips the patches instead of diving again
+        scn = five_patch_scenario()
+        scn = replace(scn, waypoints=scn.waypoints + tuple(reversed(scn.waypoints)))
+        log = run_mission(scn, RaisingBackend(), max_ticks=20000)
+        kinds = [e.kind for e in log.events]
+        assert log.completed
+        centres = np.array([(50, 30), (110, 30), (110, 70), (50, 70), (100, 110)], dtype=float)
+        dives = [
+            int(np.argmin(np.hypot(*(centres - (e.x, e.y)).T)))
+            for e in log.events if e.kind == "DESCEND_START"
+        ]
+        assert dives and len(dives) == len(set(dives))
+        assert kinds.count("SEGMENTER_ERROR") == len(dives)
+        assert kinds.count("PATCH_SKIPPED_EXPLORED") >= 1
+
+    def test_error_mid_track_commits_the_track(self):
+        scn = one_disk_scenario()
+        backend = FailAfterBackend(scn, good=scn.mission.inspect_frames + 20)
+        log = run_mission(scn, backend, max_ticks=4000)
+        kinds = [e.kind for e in log.events]
+        assert log.completed
+        assert kinds.index("POSIDONIA_FOUND") < kinds.index("SEGMENTER_ERROR")
+        assert kinds.count("TRACK_CLOSED") == kinds.count("TRACK_LOST") == 0
+        tracked = {(r.x, r.y) for r in log.rows if r.phase == "TRACK_BOUNDARY"}
+        assert len(tracked) > 10
+        assert tracked <= set(log.explored.points)
+
     def test_boundary_never_found_gives_track_lost(self):
         # a full-frame meadow mask has no visible boundary to follow
         scn = one_disk_scenario()
@@ -262,7 +306,10 @@ class TestArtifacts:
 
 # sha256 of trajectory.csv, events.txt, polygons.rings and map.ppm, recorded
 # before the FSM was reduced to one ASCEND exit; the one-disk cases cover the
-# SEGMENTER_ERROR and TRACK_LOST exits that no preset mission takes
+# SEGMENTER_ERROR and TRACK_LOST exits that no preset mission takes.  The
+# raising and wrong_shape rings and maps were re-recorded once a dive that
+# ends in SEGMENTER_ERROR commits its survey line and cover ring; their
+# trajectory and events kept their bytes
 GOLDEN_DIGESTS = {
     "five_patch": (
         "c193baa672bbce7fb950a106268a10108434f9293507f775a37a1a480fc33350",
@@ -279,14 +326,14 @@ GOLDEN_DIGESTS = {
     "raising": (
         "f81986031f94d1bb51a5922541bb1689dd9df40ea436311a38dd13b893a0abbe",
         "91d1978c9829b13a936ddd14a1a52d65c2ce7b4a9741c7814d232c45c0ef7b1e",
-        "c9b4f26b2c0efee4c31bb1fe6b455ce2f82deba82ef0ccec045ba903cd2cacac",
-        "a2dedf6bf5ca073e33441a57ac487819ee0238f948c5a8b476515abf249247bd",
+        "6b3118df9cee6a8ab28a2014c9d42264b1d6f07dfeca20820bd94fd61cad8964",
+        "1e252eeaf26eee9d32a5e7779ad6ebdf887330a1a5be48b80758434816395f95",
     ),
     "wrong_shape": (
         "f81986031f94d1bb51a5922541bb1689dd9df40ea436311a38dd13b893a0abbe",
         "d499cc92c916504f4ab4050db28f033a1f783b04469f1f8f775ae61d842a21c7",
-        "c9b4f26b2c0efee4c31bb1fe6b455ce2f82deba82ef0ccec045ba903cd2cacac",
-        "a2dedf6bf5ca073e33441a57ac487819ee0238f948c5a8b476515abf249247bd",
+        "6b3118df9cee6a8ab28a2014c9d42264b1d6f07dfeca20820bd94fd61cad8964",
+        "1e252eeaf26eee9d32a5e7779ad6ebdf887330a1a5be48b80758434816395f95",
     ),
     "all_meadow": (
         "17f7ac9d1b1dc7dc1a26379806694c6d6d7bec352f5a9289e64443474cff7ea4",
