@@ -175,5 +175,7 @@ def pixel_grid_world(
     camera: CameraModel, x: float, y: float, yaw: float, altitude: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """World coordinates of every pixel center as two (H, W) arrays."""
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(yaw)):
+        raise ValueError("pose x, y and yaw must be finite")
     forward, right = _to_local(camera, *_unit_grid(camera), altitude)
     return local_to_world(x, y, yaw, forward, right)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from collections import Counter
@@ -111,6 +112,8 @@ def _out_dir(path: str) -> Path:
 
 
 def cmd_survey_run(args) -> int:
+    if args.max_ticks < 1:
+        raise CommandError("--max-ticks must be positive")
     scenario = _load_scenario_arg(args.scenario)
     if args.seed is not None:
         scenario = replace(scenario, mission=replace(scenario.mission, seed=args.seed))
@@ -157,6 +160,8 @@ def cmd_enhance(args) -> int:
 def cmd_render(args) -> int:
     scenario = _load_scenario_arg(args.scenario)
     x, y, yaw, altitude = _floats(args.pose, 4, "--pose")
+    if not all(math.isfinite(v) for v in (x, y, yaw, altitude)):
+        raise CommandError("pose values must be finite")
     if altitude <= 0.0:
         raise CommandError("pose altitude must be positive")
     img, mask = render(scenario, x, y, yaw, altitude)

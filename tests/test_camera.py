@@ -129,6 +129,13 @@ class TestPixelGrid:
                 assert gx[row, col] == pytest.approx(wx, abs=1e-9)
                 assert gy[row, col] == pytest.approx(wy, abs=1e-9)
 
+    @pytest.mark.parametrize("pose", [
+        (math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, math.nan), (-math.inf, 0.0, 0.0),
+    ])
+    def test_rejects_non_finite_pose(self, pose):
+        with pytest.raises(ValueError, match="finite"):
+            pixel_grid_world(CAM, *pose, 5.0)
+
     def test_cached_grid_is_readonly(self):
         gx, _ = pixel_grid_world(CAM, 0.0, 0.0, 0.0, 5.0)
         # outputs are fresh arrays; the cached unit grid must stay frozen

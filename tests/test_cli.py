@@ -135,6 +135,16 @@ class TestSurveyRun:
         assert code == 2
         assert "did not complete" in err
 
+    @pytest.mark.parametrize("ticks", ["0", "-3"])
+    def test_nonpositive_budget_is_validation_error(self, ticks, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["survey-run", "--scenario", "empty", "--out", str(tmp_path / "r"),
+             "--max-ticks", ticks],
+            capsys,
+        )
+        assert code == 1
+        assert "--max-ticks" in err
+
 
 class TestImagingCommands:
     @pytest.fixture()
@@ -199,6 +209,16 @@ class TestImagingCommands:
             capsys,
         )
         assert code == 1
+
+    @pytest.mark.parametrize("pose", ["nan,0,0,5", "10,10,0,nan", "0,inf,0,5", "0,0,-inf,5"])
+    def test_render_rejects_non_finite_pose(self, pose, tmp_path, capsys):
+        out = tmp_path / "f.ppm"
+        code, _, err = run_cli(
+            ["render", "--scenario", "empty", "--pose", pose, "--out", str(out)], capsys
+        )
+        assert code == 1
+        assert "finite" in err
+        assert not out.exists()
 
 
 class TestEvalIou:

@@ -276,6 +276,19 @@ class TestOracleSegmenter:
         with pytest.raises(ValueError):
             OracleSegmenter(sc).segment(Frame(img.data, 5.0, 5.0, 0.0, 0.0))
 
+    def test_rejects_non_finite_pose(self):
+        sc = tiny_scenario()
+        img, _ = render(sc, 5.0, 5.0, 0.0, 3.0)
+        with pytest.raises(ValueError, match="finite"):
+            OracleSegmenter(sc).segment(Frame(img.data, float("nan"), 5.0, 0.0, 3.0))
+
+
+def test_render_rejects_non_finite_pose():
+    # a NaN position would otherwise reach the integer cell index and
+    # render a garbage frame
+    with pytest.raises(ValueError, match="finite"):
+        render(tiny_scenario(), float("nan"), 5.0, 0.0, 3.0)
+
 
 @pytest.mark.parametrize(
     "make_backend", [OracleSegmenter, lambda sc: BaselineSegmenter()], ids=["oracle", "baseline"]
