@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from posidonia_inspect.camera import CameraModel, pixel_grid_world
 from posidonia_inspect.imaging import WATER_PRESETS, Raster, WaterModel
+from posidonia_inspect.presets import five_patch_scenario
 from posidonia_inspect.segmentation import BaselineSegmenter, LabelMask
 from posidonia_inspect.world import (
     DEFAULT_COLORS,
@@ -241,6 +243,27 @@ class TestRenderMatchesReference:
             img, codes = oracles.reference_render(sc, *pose)
             assert frame.data.tobytes() == img.tobytes()
             assert gt.data.tobytes() == codes.tobytes()
+
+    # sha256 of the frame bytes on the five-patch floor under the two presets
+    # that place speckle dots at 128 x 96 (clear places none there); recorded
+    # while render still forged a per-pose WaterModel to seed the speckle
+    SPECKLED_FRAME_DIGESTS = {
+        ("coastal", (50.0, 26.0, 0.0, 13.0)): "c25839b074fb6fb099339b336d13952b8b4535feedf10d1f5dbc6de628e63055",
+        ("coastal", (110.0, 30.0, 0.7, 5.0)): "241af2661e7d574dfb53128820dcaf3a881eed86e2d8adcbf42154d61ab0e4e6",
+        ("coastal", (157.0, 2.0, 2.5, 9.0)): "bc46c537ba8da14cc17c3884b9e4f3299eeed51ce34e681f8163bad4ccaa7cb5",
+        ("turbid", (50.0, 26.0, 0.0, 13.0)): "ec4e69929c62282f730605e9444c46dec16d46ffe89b6fbda5111b4dcc583a02",
+        ("turbid", (110.0, 30.0, 0.7, 5.0)): "799420654f4eb30fd0ae16f9c5aadebc5f012acd124c249d54ecf76c59ffe830",
+        ("turbid", (157.0, 2.0, 2.5, 9.0)): "8dc3622a6033052beca5746e852f223bc7818628691666ee8de14935744def4c",
+    }
+
+    @pytest.mark.parametrize("water, pose", sorted(SPECKLED_FRAME_DIGESTS))
+    def test_speckled_frame_digest(self, water, pose):
+        sc = replace(five_patch_scenario(), water=WATER_PRESETS[water])
+        frame, _ = render(sc, *pose)
+        # only a speckle dot lifts every channel of a pixel to the intensity
+        assert (frame.data.min(axis=2) >= sc.water.speckle_intensity).any()
+        digest = hashlib.sha256(frame.data.tobytes()).hexdigest()
+        assert digest == self.SPECKLED_FRAME_DIGESTS[water, pose]
 
     def test_albedo_baked_on_first_render(self, tmp_path):
         save_scenario(textured_scenario(0.03, "clear"), tmp_path / "s.scn")
