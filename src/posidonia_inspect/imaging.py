@@ -2,7 +2,8 @@
 
 All rasters hold float64 intensities in [0, 1], shape (height, width, channels)
 with 1 (gray) or 3 (RGB) channels.  Every operation is pure: inputs are never
-mutated and outputs are freshly allocated.
+mutated.  Rasters are read-only, so an operation that changes nothing may
+return its input.
 """
 
 from __future__ import annotations
@@ -99,7 +100,11 @@ def _triplet(value, name: str) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class WaterModel:
-    """Optical water column: per-channel attenuation and veil, plus speckle."""
+    """Optical water column: per-channel attenuation and veil, plus speckle.
+
+    ``rng_seed`` only salts the speckle: render seeds each frame's dots with
+    a hash of the mission seed, this salt and the camera pose.
+    """
 
     attenuation: tuple[float, float, float] = (0.05, 0.06, 0.04)
     backscatter_veil: tuple[float, float, float] = (0.02, 0.03, 0.04)
@@ -183,8 +188,9 @@ def hsv_to_rgb(hsv: HsvRaster) -> Raster:
     return Raster(np.clip(rgb, 0.0, 1.0))
 
 
-def _equalize_channel(chan: np.ndarray, bins: int) -> np.ndarray:
-    # Min-normalized CDF mapping; a constant channel maps to itself.
+def _equalize_channel(chan: np.ndarray) -> np.ndarray:
+    # Min-normalized CDF mapping over 256 bins; a constant channel maps to itself.
+    bins = 256
     idx = np.minimum((chan * bins).astype(np.int64), bins - 1)
     hist = np.bincount(idx.ravel(), minlength=bins)
     cdf = np.cumsum(hist) / chan.size
@@ -195,20 +201,18 @@ def _equalize_channel(chan: np.ndarray, bins: int) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def equalize_histogram(img: Raster, bins: int = 256) -> Raster:
+def equalize_histogram(img: Raster) -> Raster:
     """Histogram equalization via the min-normalized CDF.
 
     Gray rasters are equalized directly; RGB rasters are converted to HSV,
     the value channel is equalized, and the result converted back, so hue
     and saturation are preserved.
     """
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
     if img.channels == 1:
-        out = _equalize_channel(img.data[:, :, 0], bins)
+        out = _equalize_channel(img.data[:, :, 0])
         return Raster(out[:, :, np.newaxis])
     hsv = to_hsv(img)
-    value = _equalize_channel(hsv.value, bins)
+    value = _equalize_channel(hsv.value)
     return hsv_to_rgb(HsvRaster(hue=hsv.hue, saturation=hsv.saturation, value=value))
 
 
@@ -247,18 +251,19 @@ def attenuate(img: Raster, water: WaterModel, path_length: float) -> Raster:
     return Raster(out.reshape(h, w, c))
 
 
-def add_speckle(img: Raster, water: WaterModel) -> Raster:
+def add_speckle(img: Raster, water: WaterModel, seed: int) -> Raster:
     """Scatter bright particle dots over the raster.
 
     Places round(speckle_density * megapixels) single-pixel dots at positions
-    drawn from a generator seeded with water.rng_seed; each hit pixel becomes
+    drawn from a generator seeded with ``seed``; each hit pixel becomes
     max(current, speckle_intensity) on all channels.  Collisions may land on
-    the same pixel, so the count of changed pixels can be lower.
+    the same pixel, so the count of changed pixels can be lower.  With no dot
+    to place, the input raster itself comes back.
     """
     n = int(round(water.speckle_density * img.width * img.height / 1e6))
     if n == 0:
-        return Raster(img.data.copy())
-    rng = np.random.default_rng(water.rng_seed)
+        return img
+    rng = np.random.default_rng(seed)
     ys = rng.integers(0, img.height, size=n)
     xs = rng.integers(0, img.width, size=n)
     out = img.data.copy()
@@ -272,49 +277,45 @@ def add_speckle(img: Raster, water: WaterModel) -> Raster:
 def write_pnm(img: Raster, path) -> None:
     """Write a raster as binary PGM (1 channel) or PPM (3 channels)."""
     magic = b"P5" if img.channels == 1 else b"P6"
-    quant = np.round(img.data * 255.0).astype(np.uint8)
-    if img.channels == 1:
-        quant = quant[:, :, 0]
     with open(path, "wb") as fh:
         fh.write(magic + b"\n%d %d\n255\n" % (img.width, img.height))
-        fh.write(quant.tobytes())
+        fh.write(np.round(img.data * 255.0).astype(np.uint8).tobytes())
 
 
-def _read_pnm_tokens(fh, count: int) -> list[int]:
-    # Header tokens separated by whitespace; '#' starts a comment to EOL.
-    tokens: list[int] = []
-    while len(tokens) < count:
-        ch = fh.read(1)
-        if not ch:
-            raise ValueError("truncated PNM header")
-        if ch in b" \t\r\n":
-            continue
-        if ch == b"#":
-            while ch and ch != b"\n":
-                ch = fh.read(1)
-            continue
-        tok = ch
-        while True:
-            ch = fh.read(1)
-            if not ch or ch in b" \t\r\n":
-                break
-            tok += ch
-        tokens.append(int(tok))
-    return tokens
-
-
-def read_pnm(path) -> Raster:
-    """Read a binary PGM/PPM file with maxval 255 into a raster."""
+def _read_binary_pnm(path) -> tuple[bytes, int, np.ndarray]:
+    """Magic, maxval and (H, W, 1|3) uint8 samples of a binary PGM/PPM file."""
     with open(path, "rb") as fh:
         magic = fh.read(2)
         if magic not in (b"P5", b"P6"):
             raise ValueError(f"unsupported PNM magic {magic!r} in {path}")
-        width, height, maxval = _read_pnm_tokens(fh, 3)
-        if maxval != 255:
-            raise ValueError(f"only maxval 255 is supported, got {maxval}")
+        # width, height and maxval, each ended by one whitespace byte; a '#'
+        # between them starts a comment that runs to the end of its line
+        tokens: list[int] = []
+        tok = b""
+        while len(tokens) < 3:
+            ch = fh.read(1)
+            if ch == b"#" and not tok:
+                fh.readline()
+            elif ch and ch not in b" \t\r\n":
+                tok += ch
+            elif tok:
+                tokens.append(int(tok))
+                tok = b""
+            elif not ch:
+                raise ValueError(f"truncated PNM header in {path}")
+        width, height, maxval = tokens
+        if maxval > 255:  # two bytes per sample
+            raise ValueError(f"unsupported maxval {maxval} in {path}")
         channels = 1 if magic == b"P5" else 3
         raw = fh.read(width * height * channels)
         if len(raw) != width * height * channels:
             raise ValueError(f"truncated PNM payload in {path}")
-    arr = np.frombuffer(raw, dtype=np.uint8).reshape(height, width, channels)
+    return magic, maxval, np.frombuffer(raw, dtype=np.uint8).reshape(height, width, channels)
+
+
+def read_pnm(path) -> Raster:
+    """Read a binary PGM/PPM file with maxval 255 into a raster."""
+    _, maxval, arr = _read_binary_pnm(path)
+    if maxval != 255:
+        raise ValueError(f"only maxval 255 is supported, got {maxval}")
     return Raster(arr.astype(np.float64) / 255.0)

@@ -7,14 +7,14 @@ layout as the images they label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 from scipy import ndimage
 
 from .geometry import Polygon, label_components, trace_component
-from .imaging import Raster, _read_pnm_tokens, to_hsv
+from .imaging import Raster, _read_binary_pnm, to_hsv
 
 __all__ = [
     "SAND",
@@ -28,7 +28,6 @@ __all__ = [
     "read_mask",
     "SegmenterBackend",
     "HsvRange",
-    "BaselineConfig",
     "BaselineSegmenter",
     "majority_smooth",
     "SegmentationSummary",
@@ -85,20 +84,13 @@ def write_mask(mask: LabelMask, path) -> None:
 
 
 def read_mask(path) -> LabelMask:
-    with open(path, "rb") as fh:
-        magic = fh.read(2)
-        if magic != b"P5":
-            raise ValueError(f"mask files are PGM (P5), got magic {magic!r} in {path}")
-        width, height, maxval = _read_pnm_tokens(fh, 3)
-        if maxval >= 256:
-            raise ValueError(f"unsupported maxval {maxval} in {path}")
-        raw = fh.read(width * height)
-        if len(raw) != width * height:
-            raise ValueError(f"truncated mask payload in {path}")
-    arr = np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
+    """Read a PGM mask as write_mask stores it; every code must be a class code."""
+    magic, _, arr = _read_binary_pnm(path)
+    if magic != b"P5":
+        raise ValueError(f"mask files are PGM (P5), got magic {magic!r} in {path}")
     if arr.max(initial=0) >= NUM_CLASSES:
         raise ValueError(f"mask {path} holds codes above {NUM_CLASSES - 1}")
-    return LabelMask(arr)
+    return LabelMask(arr[:, :, 0])
 
 
 @runtime_checkable
@@ -148,39 +140,23 @@ class HsvRange:
         return ok
 
 
-def _default_ranges() -> dict[int, HsvRange]:
-    # tuned for the attenuated default palette at a few meters altitude
-    return {
-        POSIDONIA: HsvRange(70.0, 170.0, 0.3, 1.0, 0.02, 0.35),
-        ROCKS: HsvRange(0.0, 360.0, 0.0, 0.25, 0.02, 0.30),
-        DEBRIS: HsvRange(10.0, 50.0, 0.15, 0.6, 0.15, 0.55),
-    }
+# Boxes tuned for the attenuated default palette at a few meters altitude,
+# in priority order: a pixel takes the class of the first box it falls in,
+# and everything unmatched stays sand.
+_BOXES = (
+    (POSIDONIA, HsvRange(70.0, 170.0, 0.3, 1.0, 0.02, 0.35)),
+    (ROCKS, HsvRange(0.0, 360.0, 0.0, 0.25, 0.02, 0.30)),
+    (DEBRIS, HsvRange(10.0, 50.0, 0.15, 0.6, 0.15, 0.55)),
+)
 
 
-@dataclass(frozen=True)
-class BaselineConfig:
-    posidonia: HsvRange = field(default_factory=lambda: _default_ranges()[POSIDONIA])
-    rocks: HsvRange = field(default_factory=lambda: _default_ranges()[ROCKS])
-    debris: HsvRange = field(default_factory=lambda: _default_ranges()[DEBRIS])
-    # first match wins; everything unmatched stays sand
-    priority: tuple[int, int, int] = (POSIDONIA, ROCKS, DEBRIS)
-    smooth: bool = True
-
-    def __post_init__(self) -> None:
-        if sorted(self.priority) != sorted((POSIDONIA, ROCKS, DEBRIS)):
-            raise ValueError("priority must be a permutation of the non-sand codes")
-
-    def range_for(self, class_code: int) -> HsvRange:
-        return {POSIDONIA: self.posidonia, ROCKS: self.rocks, DEBRIS: self.debris}[class_code]
-
-
-def majority_smooth(labels: np.ndarray, num_classes: int = NUM_CLASSES) -> np.ndarray:
+def majority_smooth(labels: np.ndarray) -> np.ndarray:
     """3x3 majority vote; off-image neighbors do not vote, ties pick the lowest code."""
     kernel = np.ones((3, 3))
     counts = np.stack(
         [
             ndimage.convolve((labels == c).astype(float), kernel, mode="constant", cval=0.0)
-            for c in range(num_classes)
+            for c in range(NUM_CLASSES)
         ]
     )
     return np.argmax(counts, axis=0).astype(np.uint8)
@@ -189,22 +165,17 @@ def majority_smooth(labels: np.ndarray, num_classes: int = NUM_CLASSES) -> np.nd
 class BaselineSegmenter:
     """Per-pixel HSV box thresholds with a majority-vote cleanup pass."""
 
-    def __init__(self, config: BaselineConfig | None = None):
-        self.config = config if config is not None else BaselineConfig()
-
     def segment(self, img: Raster) -> LabelMask:
         if img.channels != 3:
             raise ValueError("baseline segmentation needs a color image")
         hsv = to_hsv(img)
         out = np.zeros((img.height, img.width), dtype=np.uint8)
         free = np.ones_like(out, dtype=bool)
-        for code in self.config.priority:
-            hit = self.config.range_for(code).select(hsv.hue, hsv.saturation, hsv.value) & free
+        for code, box in _BOXES:
+            hit = box.select(hsv.hue, hsv.saturation, hsv.value) & free
             out[hit] = code
             free &= ~hit
-        if self.config.smooth:
-            out = majority_smooth(out)
-        return LabelMask(out)
+        return LabelMask(majority_smooth(out))
 
 
 # ---------------------------------------------------------------------------
@@ -214,24 +185,19 @@ class BaselineSegmenter:
 @dataclass(frozen=True)
 class SegmentationSummary:
     fractions: tuple[float, float, float, float]
-    dominant_class: int
     has_posidonia: bool
     has_rocks: bool
-    has_debris: bool
 
 
 def summarize(mask: LabelMask, min_fraction: float = 0.05) -> SegmentationSummary:
     """Class-share snapshot of one mask; presence means share >= min_fraction."""
     if not 0.0 <= min_fraction <= 1.0:
         raise ValueError("min_fraction must lie in [0, 1]")
-    counts = np.bincount(mask.data.ravel(), minlength=NUM_CLASSES)
-    fractions = counts / mask.data.size
+    fractions = np.bincount(mask.data.ravel(), minlength=NUM_CLASSES) / mask.data.size
     return SegmentationSummary(
         fractions=tuple(float(f) for f in fractions),
-        dominant_class=int(np.argmax(counts)),
         has_posidonia=bool(fractions[POSIDONIA] >= min_fraction),
         has_rocks=bool(fractions[ROCKS] >= min_fraction),
-        has_debris=bool(fractions[DEBRIS] >= min_fraction),
     )
 
 

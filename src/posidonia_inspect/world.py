@@ -315,11 +315,7 @@ def render(
         )
 
     out = attenuate(Raster(img), scenario.water, altitude)
-    if scenario.water.speckle_density > 0.0:
-        per_pose = replace(
-            scenario.water, rng_seed=_pose_seed(scenario, x, y, yaw, altitude)
-        )
-        out = add_speckle(out, per_pose)
+    out = add_speckle(out, scenario.water, _pose_seed(scenario, x, y, yaw, altitude))
     return Frame(out.data, x, y, yaw, altitude), LabelMask(codes)
 
 
@@ -520,12 +516,11 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def save_scenario(scenario: Scenario, path, map_filename: str | None = None) -> None:
-    """Write the scenario and its label map; round-trips through load."""
+def save_scenario(scenario: Scenario, path) -> None:
+    """Write the scenario and its label map <stem>_map.pgm; round-trips through load."""
     path = os.fspath(path)
     base = os.path.dirname(os.path.abspath(path))
-    stem = os.path.splitext(os.path.basename(path))[0]
-    map_name = map_filename if map_filename is not None else f"{stem}_map.pgm"
+    map_name = f"{os.path.splitext(os.path.basename(path))[0]}_map.pgm"
     write_mask(scenario.seafloor.label_map, os.path.join(base, map_name))
 
     floor = scenario.seafloor

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import replace
 
 import numpy as np
 
@@ -214,7 +213,5 @@ def reference_render(scenario, x, y, yaw, altitude) -> tuple[np.ndarray, np.ndar
             img[:, :, c] += (2.0 * n - 1.0) * floor.noise_amplitude
         np.clip(img, 0.0, 1.0, out=img)
     out = Raster(reference_attenuate(img, scenario.water, altitude))
-    if scenario.water.speckle_density > 0.0:
-        per_pose = replace(scenario.water, rng_seed=_pose_seed(scenario, x, y, yaw, altitude))
-        out = add_speckle(out, per_pose)
+    out = add_speckle(out, scenario.water, _pose_seed(scenario, x, y, yaw, altitude))
     return out.data, codes

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 from posidonia_inspect.imaging import (
+    WATER_PRESETS,
     Raster,
     WaterModel,
     add_speckle,
@@ -150,10 +151,6 @@ class TestEqualize:
         order = np.argsort(flat_in, kind="stable")
         assert np.all(np.diff(flat_out[order]) >= -1e-12)
 
-    def test_rejects_bad_bins(self):
-        with pytest.raises(ValueError):
-            equalize_histogram(gray([[0.5]]), bins=1)
-
 
 class TestGamma:
     def test_quarter_to_half(self):
@@ -231,8 +228,8 @@ class TestAttenuate:
 class TestSpeckle:
     def test_dot_count_and_brightness(self):
         img = Raster(np.zeros((1000, 1000, 3)))
-        water = WaterModel(speckle_density=10.0, speckle_intensity=0.9, rng_seed=3)
-        out = add_speckle(img, water)
+        water = WaterModel(speckle_density=10.0, speckle_intensity=0.9)
+        out = add_speckle(img, water, 3)
         changed = np.argwhere((out.data != img.data).any(axis=2))
         assert 1 <= len(changed) <= 10
         for r, c in changed:
@@ -240,19 +237,24 @@ class TestSpeckle:
 
     def test_zero_density_unchanged(self):
         img = Raster(np.random.default_rng(0).random((8, 8, 3)))
-        out = add_speckle(img, WaterModel(speckle_density=0.0))
-        assert np.array_equal(out.data, img.data)
+        # rasters are read-only, so the input itself comes back
+        assert add_speckle(img, WaterModel(speckle_density=0.0), 7) is img
+
+    def test_clear_water_places_no_dot_on_default_camera(self):
+        # 40 dots per megapixel round to none on 128 x 96 pixels
+        img = Raster(np.random.default_rng(0).random((96, 128, 3)))
+        assert add_speckle(img, WATER_PRESETS["clear"], 7) is img
 
     def test_never_darkens(self):
         img = Raster(np.full((100, 100, 3), 0.97))
-        water = WaterModel(speckle_density=500.0, speckle_intensity=0.5, rng_seed=1)
-        out = add_speckle(img, water)
+        water = WaterModel(speckle_density=500.0, speckle_intensity=0.5)
+        out = add_speckle(img, water, 1)
         assert np.all(out.data >= img.data)
 
     def test_same_seed_same_dots(self):
         img = Raster(np.zeros((200, 200, 1)))
-        water = WaterModel(speckle_density=100.0, rng_seed=42)
-        assert np.array_equal(add_speckle(img, water).data, add_speckle(img, water).data)
+        water = WaterModel(speckle_density=100.0)
+        assert np.array_equal(add_speckle(img, water, 42).data, add_speckle(img, water, 42).data)
 
 
 class TestPnm:

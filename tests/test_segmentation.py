@@ -11,7 +11,6 @@ from posidonia_inspect.segmentation import (
     POSIDONIA,
     ROCKS,
     SAND,
-    BaselineConfig,
     BaselineSegmenter,
     HsvRange,
     LabelMask,
@@ -107,7 +106,7 @@ class TestHsvRange:
 
 class TestBaselineSegmenter:
     def test_classifies_range_centers(self):
-        seg = BaselineSegmenter(BaselineConfig(smooth=False))
+        seg = BaselineSegmenter()
         cases = [
             (hsv_image(120.0, 0.7, 0.15), POSIDONIA),
             (hsv_image(200.0, 0.1, 0.12), ROCKS),
@@ -119,21 +118,15 @@ class TestBaselineSegmenter:
             assert (got.data == want).all(), f"expected uniform class {want}"
 
     def test_priority_breaks_overlap(self):
-        # hue 30, sat 0.2, val 0.2 sits inside both the rocks and debris boxes
+        # hue 30, sat 0.2, val 0.2 sits inside both the rocks and debris boxes;
+        # rocks come first in the priority order
         img = hsv_image(30.0, 0.2, 0.2)
-        first_rocks = BaselineConfig(priority=(POSIDONIA, ROCKS, DEBRIS), smooth=False)
-        first_debris = BaselineConfig(priority=(DEBRIS, ROCKS, POSIDONIA), smooth=False)
-        assert (BaselineSegmenter(first_rocks).segment(img).data == ROCKS).all()
-        assert (BaselineSegmenter(first_debris).segment(img).data == DEBRIS).all()
+        assert (BaselineSegmenter().segment(img).data == ROCKS).all()
 
     def test_rejects_gray_input(self):
         seg = BaselineSegmenter()
         with pytest.raises(ValueError):
             seg.segment(Raster(np.zeros((4, 4, 1))))
-
-    def test_rejects_bad_priority(self):
-        with pytest.raises(ValueError):
-            BaselineConfig(priority=(POSIDONIA, POSIDONIA, DEBRIS))
 
     def test_smoothing_removes_salt(self):
         labels = np.full((7, 7), POSIDONIA, dtype=np.uint8)
@@ -155,12 +148,7 @@ class TestSummarize:
         s = summarize(LabelMask(data), min_fraction=0.05)
         assert s.fractions[POSIDONIA] == pytest.approx(0.2)
         assert abs(sum(s.fractions) - 1.0) < 1e-12
-        assert s.has_posidonia and not s.has_rocks and not s.has_debris
-        assert s.dominant_class == SAND
-
-    def test_dominant_tie_prefers_lowest(self):
-        data = np.array([[0, 1], [1, 0]], dtype=np.uint8)
-        assert summarize(LabelMask(data)).dominant_class == SAND
+        assert s.has_posidonia and not s.has_rocks
 
     def test_rejects_bad_min_fraction(self):
         with pytest.raises(ValueError):
