@@ -116,7 +116,10 @@ def cmd_survey_run(args) -> int:
         raise CommandError("--max-ticks must be positive")
     scenario = _load_scenario_arg(args.scenario)
     if args.seed is not None:
-        scenario = replace(scenario, mission=replace(scenario.mission, seed=args.seed))
+        try:
+            scenario = replace(scenario, mission=replace(scenario.mission, seed=args.seed))
+        except ValueError as exc:
+            raise CommandError(f"--seed: {exc}") from exc
     backend = (
         OracleSegmenter(scenario) if args.backend == "oracle" else BaselineSegmenter()
     )
@@ -142,7 +145,10 @@ def cmd_survey_run(args) -> int:
 
 def cmd_detect(args) -> int:
     img = _load_image(args.image)
-    report = detect_dark_patches(img, vehicle_depth=args.depth)
+    try:
+        report = detect_dark_patches(img, vehicle_depth=args.depth)
+    except ValueError as exc:  # a non-finite --depth
+        raise CommandError(str(exc)) from exc
     for line in report_lines(report):
         print(line)
     log.info("%d patches, %d excluded", len(report.patches), report.excluded_count)

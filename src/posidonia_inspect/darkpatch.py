@@ -41,13 +41,16 @@ class DetectorConfig:
             raise ValueError("need 0 < dark_threshold_base < white_threshold_base <= 1")
         if not math.isfinite(self.threshold_depth_gain):
             raise ValueError("threshold_depth_gain must be finite")
-        if not isinstance(self.min_patch_area, int) or self.min_patch_area < 1:
+        area = self.min_patch_area
+        if not isinstance(area, int) or isinstance(area, bool) or area < 1:
             raise ValueError("min_patch_area must be a positive integer")
         if not 0.0 <= self.center_exclusion_fraction <= 0.5:
             raise ValueError("center_exclusion_fraction must lie in [0, 0.5]")
 
     def thresholds(self, vehicle_depth: float) -> tuple[float, float]:
         """(dark, white) thresholds adjusted for depth."""
+        if not math.isfinite(vehicle_depth):
+            raise ValueError(f"vehicle depth must be finite, got {vehicle_depth}")
         shift = self.threshold_depth_gain * float(vehicle_depth)
         dark = min(1.0, max(0.0, self.dark_threshold_base + shift))
         white = min(1.0, max(0.0, self.white_threshold_base + shift))

@@ -123,6 +123,9 @@ class WaterModel:
             raise ValueError("speckle_density must be finite and >= 0")
         if not (0.0 <= self.speckle_intensity <= 1.0):
             raise ValueError("speckle_intensity must lie in [0, 1]")
+        seed = self.rng_seed
+        if not isinstance(seed, int) or isinstance(seed, bool) or not -(2**63) <= seed < 2**63:
+            raise ValueError("rng_seed must be an integer in the int64 range")
         object.__setattr__(self, "attenuation", att)
         object.__setattr__(self, "backscatter_veil", veil)
 

@@ -174,8 +174,9 @@ class TrackingConfig:
             raise ValueError("border_margin must be finite and non-negative")
         if self.meadow_side not in ("left", "right"):
             raise ValueError("meadow_side must be 'left' or 'right'")
-        if self.min_band_points < 2:
-            raise ValueError("min_band_points must be at least 2")
+        n = self.min_band_points
+        if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+            raise ValueError("min_band_points must be an integer of at least 2")
 
 
 def interior_vertices(boundary: Polygon, camera: CameraModel, margin: float) -> np.ndarray:

@@ -125,8 +125,8 @@ class MissionConfig:
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ValueError(f"{name} must be an integer")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        if not 0 <= self.seed < 2**63:  # render packs it as an int64
+            raise ValueError("seed must lie in [0, 2**63)")
         for name in ("inspect_frames", "boundary_lost_limit", "trajectory_stride", "announce_expiry_ticks"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from posidonia_inspect.cli import main
@@ -135,6 +137,32 @@ class TestSurveyRun:
         assert code == 2
         assert "did not complete" in err
 
+    @pytest.mark.parametrize("section, key", [("mission", "seed"), ("water", "rng_seed")])
+    def test_seed_outside_int64_is_validation_error(self, section, key, tmp_path, capsys):
+        path = tmp_path / "empty.scn"
+        save_scenario(empty_scenario(), path)
+        text, n = re.subn(
+            rf"(\[{section}\][^[]*\n){key} = \S+", rf"\g<1>{key} = 99999999999999999999999",
+            path.read_text(),
+        )
+        assert n == 1
+        path.write_text(text)
+        code, _, err = run_cli(
+            ["survey-run", "--scenario", str(path), "--out", str(tmp_path / "r")], capsys
+        )
+        assert code == 1
+        assert f"[{section}]" in err and key in err
+
+    @pytest.mark.parametrize("seed", ["99999999999999999999999", "-1"])
+    def test_seed_flag_outside_int64_is_validation_error(self, seed, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["survey-run", "--scenario", "empty", "--out", str(tmp_path / "r"),
+             "--seed", seed],
+            capsys,
+        )
+        assert code == 1
+        assert "--seed" in err
+
     @pytest.mark.parametrize("ticks", ["0", "-3"])
     def test_nonpositive_budget_is_validation_error(self, ticks, tmp_path, capsys):
         code, _, err = run_cli(
@@ -173,6 +201,12 @@ class TestImagingCommands:
         code, out, _ = run_cli(["detect", str(path), "--depth", "2"], capsys)
         assert code == 0
         assert out == ""
+
+    @pytest.mark.parametrize("depth", ["nan", "inf", "-inf"])
+    def test_detect_rejects_non_finite_depth(self, patch_frame, depth, capsys):
+        code, out, err = run_cli(["detect", str(patch_frame), f"--depth={depth}"], capsys)
+        assert code == 1
+        assert "finite" in err and out == ""
 
     def test_enhance_writes_image(self, patch_frame, tmp_path, capsys):
         out_path = tmp_path / "enhanced.ppm"

@@ -44,6 +44,18 @@ class TestDetectorConfig:
         with pytest.raises(ValueError):
             DetectorConfig(center_exclusion_fraction=0.6)
 
+    @pytest.mark.parametrize("area", [True, 30.0])
+    def test_min_patch_area_is_an_int(self, area):
+        with pytest.raises(ValueError, match="min_patch_area"):
+            DetectorConfig(min_patch_area=area)
+
+    @pytest.mark.parametrize("depth", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_depth(self, depth):
+        # with any finite gain, gain * depth would be nan and clamp both
+        # thresholds to 0: a frame with no dark pixel at all
+        with pytest.raises(ValueError, match="finite"):
+            DetectorConfig().thresholds(depth)
+
     def test_depth_gain_shifts_and_clamps(self):
         cfg = DetectorConfig(threshold_depth_gain=0.01)
         dark, white = cfg.thresholds(10.0)

@@ -312,6 +312,11 @@ class TestWaterModel:
         with pytest.raises(ValueError, match=field):
             WaterModel(**{field: value})
 
+    @pytest.mark.parametrize("seed", [2**63, -(2**63) - 1, 99999999999999999999999, 1.5, True])
+    def test_rng_seed_is_an_int64(self, seed):
+        with pytest.raises(ValueError, match="rng_seed"):
+            WaterModel(rng_seed=seed)
+
     def test_scalar_broadcast(self):
         w = WaterModel(attenuation=0.2, backscatter_veil=0.1)
         assert w.attenuation == (0.2, 0.2, 0.2)

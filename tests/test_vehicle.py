@@ -209,6 +209,11 @@ class TestTrackingConfig:
         with pytest.raises(ValueError):
             TrackingConfig(band_fraction=0.9)
 
+    @pytest.mark.parametrize("points", [2.5, True, 1])
+    def test_min_band_points_is_an_int_of_at_least_2(self, points):
+        with pytest.raises(ValueError, match="min_band_points"):
+            TrackingConfig(min_band_points=points)
+
     @pytest.mark.parametrize("field", ["k_tangent", "k_offset", "track_speed", "border_margin"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite(self, field, value):

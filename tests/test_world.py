@@ -86,6 +86,21 @@ class TestMissionConfig:
         with pytest.raises(ValueError):
             MissionConfig(trajectory_stride=0)
 
+    def test_seed_fits_an_int64(self):
+        with pytest.raises(ValueError, match="seed"):
+            MissionConfig(seed=2**63)
+        with pytest.raises(ValueError, match="seed"):
+            MissionConfig(seed=True)
+
+    def test_extreme_seeds_render(self):
+        # render packs both seeds into the per-frame speckle hash as int64
+        for seed, salt in ((2**63 - 1, 2**63 - 1), (0, -(2**63))):
+            sc = tiny_scenario(
+                water=WaterModel(speckle_density=50000.0, rng_seed=salt),
+                mission=MissionConfig(seed=seed),
+            )
+            render(sc, 5.0, 5.0, 0.0, 3.0)
+
     def test_track_path_vs_loop_radius(self):
         with pytest.raises(ValueError):
             MissionConfig(min_track_path=3.0, loop_close_radius=4.0)
@@ -448,6 +463,18 @@ class TestScenarioText:
         msg = str(exc.value)
         assert "bad.scn: [water]" in msg
         assert "bad.scn: [tracking]" in msg
+
+    @pytest.mark.parametrize("section, key", [("mission", "seed"), ("water", "rng_seed")])
+    def test_seed_outside_int64_rejected_by_section(self, tmp_path, section, key):
+        from posidonia_inspect.segmentation import write_mask
+
+        write_mask(checker_map(), tmp_path / "floor.pgm")
+        text = (
+            "[seafloor]\nmap = floor.pgm\nresolution = 1.0\n"
+            f"[{section}]\n{key} = 99999999999999999999999\n[waypoints]\n5 5\n"
+        )
+        with pytest.raises(ValueError, match=f"bad.scn: \\[{section}\\]: .*{key}"):
+            parse_scenario_text(text, base_dir=str(tmp_path), source="bad.scn")
 
     @pytest.mark.parametrize("section, key", [
         ("seafloor", "label_map"), ("seafloor", "colors"), ("water", "map"),
