@@ -307,7 +307,7 @@ def _read_binary_pnm(path) -> tuple[bytes, int, np.ndarray]:
             elif not ch:
                 raise ValueError(f"truncated PNM header in {path}")
         width, height, maxval = tokens
-        if maxval > 255:  # two bytes per sample
+        if maxval > 255:  # samples would take two bytes each
             raise ValueError(f"unsupported maxval {maxval} in {path}")
         channels = 1 if magic == b"P5" else 3
         raw = fh.read(width * height * channels)

@@ -520,7 +520,8 @@ def save_scenario(scenario: Scenario, path) -> None:
     """Write the scenario and its label map <stem>_map.pgm; round-trips through load."""
     path = os.fspath(path)
     base = os.path.dirname(os.path.abspath(path))
-    map_name = f"{os.path.splitext(os.path.basename(path))[0]}_map.pgm"
+    stem = os.path.splitext(os.path.basename(path))[0]
+    map_name = f"{stem}_map.pgm"
     write_mask(scenario.seafloor.label_map, os.path.join(base, map_name))
 
     floor = scenario.seafloor
