@@ -10,7 +10,12 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from posidonia_inspect.camera import CameraModel, pixel_grid_world
 from posidonia_inspect.imaging import WATER_PRESETS, Raster, WaterModel
-from posidonia_inspect.presets import five_patch_scenario
+from posidonia_inspect.presets import (
+    blocks_scenario,
+    empty_scenario,
+    five_patch_scenario,
+    ring_meadow_scenario,
+)
 from posidonia_inspect.segmentation import BaselineSegmenter, LabelMask
 from posidonia_inspect.world import (
     DEFAULT_COLORS,
@@ -490,6 +495,27 @@ class TestScenarioText:
         )
         with pytest.raises(ValueError, match=f"unknown key '{key}' in \\[{section}\\]"):
             parse_scenario_text(text, base_dir=str(tmp_path))
+
+    # sha256 of the .scn text save_scenario writes for each preset, recorded
+    # while the seafloor section was still written from hand-kept lines
+    PRESET_SCN_DIGESTS = {
+        "blocks": "aef5dad17bae28c9617884d7dd6d686f7ce9d10f91d29fb7c4b0798ea3720f1b",
+        "empty": "8e283f6df4c363502099bba3fe6191cc8f02b052c6f4bf75d5292a38df18b6f6",
+        "five_patch": "9e097926c54302769562603e6993d1d09a31e5b33186a381c2154a123e26ddfa",
+        "ring_meadow": "ee9aaef6d1bdda1963cf76a81b51970f8f47f4bdbb04e16981869ede1aab0a76",
+    }
+    PRESETS = {
+        "blocks": blocks_scenario,
+        "empty": empty_scenario,
+        "five_patch": five_patch_scenario,
+        "ring_meadow": ring_meadow_scenario,
+    }
+
+    @pytest.mark.parametrize("name", sorted(PRESET_SCN_DIGESTS))
+    def test_saved_preset_digest(self, tmp_path, name):
+        path = tmp_path / f"{name}.scn"
+        save_scenario(self.PRESETS[name](), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PRESET_SCN_DIGESTS[name]
 
     def test_key_types_follow_field_defaults(self, tmp_path):
         from posidonia_inspect.segmentation import write_mask
