@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from collections import Counter
@@ -166,11 +165,10 @@ def cmd_enhance(args) -> int:
 def cmd_render(args) -> int:
     scenario = _load_scenario_arg(args.scenario)
     x, y, yaw, altitude = _floats(args.pose, 4, "--pose")
-    if not all(math.isfinite(v) for v in (x, y, yaw, altitude)):
-        raise CommandError("pose values must be finite")
-    if altitude <= 0.0:
-        raise CommandError("pose altitude must be positive")
-    img, mask = render(scenario, x, y, yaw, altitude)
+    try:
+        img, mask = render(scenario, x, y, yaw, altitude)
+    except ValueError as exc:
+        raise CommandError(f"--pose: {exc}") from exc
     write_pnm(img, args.out)
     if args.mask_out:
         write_mask(mask, args.mask_out)
@@ -264,6 +262,8 @@ def _sample_ops(rng: np.random.Generator) -> list[tuple]:
 
 
 def cmd_dataset_augment(args) -> int:
+    if args.seed < 0:
+        raise CommandError("--seed must be non-negative")
     pairs: list[tuple[str, str | None]] = []
     for item in args.pairs:
         image_path, sep, mask_path = item.partition(":")

@@ -173,6 +173,9 @@ class SplitSpec:
             raise ValueError("split fractions must lie in [0, 1]")
         if self.train_fraction + self.val_fraction > 1.0:
             raise ValueError("train and val fractions must not exceed 1 combined")
+        seed = self.seed
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ValueError("seed must be a non-negative integer")
 
 
 def split_sizes(n: int, spec: SplitSpec) -> tuple[int, int, int]:

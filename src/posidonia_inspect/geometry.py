@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -344,12 +345,20 @@ class ExploredMap:
 
     alpha: float
     points: tuple[tuple[float, float], ...] = ()
-    alpha_rings: tuple[Polygon, ...] = ()
     committed_regions: tuple[Polygon, ...] = ()
 
     def __post_init__(self) -> None:
         if not (self.alpha > 0.0) or not math.isfinite(self.alpha):
             raise ValueError("alpha must be a positive finite number")
+
+    @cached_property
+    def alpha_rings(self) -> tuple[Polygon, ...]:
+        # triangulated at the first read, so a map recorded twice before
+        # anyone looks at it is triangulated once
+        cloud = np.unique(np.array(self.points, dtype=np.float64).reshape(-1, 2), axis=0)
+        if not _has_spread(cloud):
+            return ()
+        return tuple(alpha_shape(cloud, self.alpha))
 
     @property
     def polygons(self) -> tuple[Polygon, ...]:
@@ -359,18 +368,10 @@ class ExploredMap:
         return replace(self, committed_regions=self.committed_regions + (region,))
 
 
-def record_exploration(explored: ExploredMap, surface_points, bottom_point) -> ExploredMap:
-    """Append surface samples and a projected bottom point, rebuild alpha_rings."""
-    added = [(float(x), float(y)) for x, y in surface_points]
-    bx, by = bottom_point
-    added.append((float(bx), float(by)))
-    points = explored.points + tuple(added)
-    cloud = np.unique(np.array(points, dtype=np.float64), axis=0)
-    if _has_spread(cloud):
-        rebuilt = tuple(alpha_shape(cloud, explored.alpha))
-    else:
-        rebuilt = ()
-    return replace(explored, points=points, alpha_rings=rebuilt)
+def record_exploration(explored: ExploredMap, points) -> ExploredMap:
+    """Append explored points; alpha_rings follows from them at its first read."""
+    added = tuple((float(x), float(y)) for x, y in points)
+    return replace(explored, points=explored.points + added)
 
 
 def explored_covers(explored: ExploredMap, point) -> bool:

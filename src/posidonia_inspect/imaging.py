@@ -3,13 +3,15 @@
 All rasters hold float64 intensities in [0, 1], shape (height, width, channels)
 with 1 (gray) or 3 (RGB) channels.  Every operation is pure: inputs are never
 mutated.  Rasters are read-only, so an operation that changes nothing may
-return its input.
+return its input.  A pixelwise operation (gamma, attenuation, speckle)
+returns its input's type, so a subclass such as a pose-stamped frame keeps
+its extra fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,9 +46,11 @@ class Raster:
             raise ValueError(f"raster must be (H, W, 1|3), got shape {np.shape(self.data)}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("raster must have positive width and height")
-        if not np.all(np.isfinite(arr)):
+        # a NaN makes both extremes NaN, so two scalars stand for every pixel
+        lo, hi = float(arr.min()), float(arr.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("raster intensities must be finite")
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        if lo < 0.0 or hi > 1.0:
             raise ValueError("raster intensities must lie in [0, 1]")
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)  # purity: rasters are immutable once built
@@ -79,9 +83,10 @@ class HsvRaster:
         v = np.asarray(self.value, dtype=np.float64)
         if not (h.shape == s.shape == v.shape) or h.ndim != 2:
             raise ValueError("hue/saturation/value must share one (H, W) shape")
-        if h.min() < 0.0 or h.max() >= 360.0:
+        # written so that a NaN, which fails every comparison, fails the test
+        if not (0.0 <= h.min() and h.max() < 360.0):
             raise ValueError("hue must lie in [0, 360)")
-        if s.min() < 0.0 or s.max() > 1.0 or v.min() < 0.0 or v.max() > 1.0:
+        if not (0.0 <= s.min() and s.max() <= 1.0 and 0.0 <= v.min() and v.max() <= 1.0):
             raise ValueError("saturation and value must lie in [0, 1]")
         for name, arr in (("hue", h), ("saturation", s), ("value", v)):
             arr = np.ascontiguousarray(arr)
@@ -227,7 +232,7 @@ def gamma_correct(img: Raster, gamma: float = 1.5) -> Raster:
     """
     if not (gamma > 0.0) or not math.isfinite(gamma):
         raise ValueError("gamma must be a positive finite number")
-    return Raster(np.power(img.data, gamma))
+    return replace(img, data=np.power(img.data, gamma))
 
 
 def attenuate(img: Raster, water: WaterModel, path_length: float) -> Raster:
@@ -251,7 +256,7 @@ def attenuate(img: Raster, water: WaterModel, path_length: float) -> Raster:
     out = img.data.reshape(h, w * c) * np.tile(decay, w)
     out += np.tile(veil * (1.0 - decay), w)
     np.clip(out, 0.0, 1.0, out=out)
-    return Raster(out.reshape(h, w, c))
+    return replace(img, data=out.reshape(h, w, c))
 
 
 def add_speckle(img: Raster, water: WaterModel, seed: int) -> Raster:
@@ -271,7 +276,7 @@ def add_speckle(img: Raster, water: WaterModel, seed: int) -> Raster:
     xs = rng.integers(0, img.width, size=n)
     out = img.data.copy()
     out[ys, xs, :] = np.maximum(out[ys, xs, :], water.speckle_intensity)
-    return Raster(out)
+    return replace(img, data=out)
 
 
 # ---------------------------------------------------------------------------

@@ -241,12 +241,12 @@ def run_tick(
     def commit(machine: MissionState) -> MissionState:
         # what the dive saw joins the explored map: the buffered survey line
         # and the cover ring when it leaves INSPECT, the track so far when
-        # it leaves TRACK_BOUNDARY
+        # it leaves TRACK_BOUNDARY, and in both cases where the vehicle is
         if machine.phase is MissionPhase.INSPECT:
             seen = list(machine.survey_samples) + _cover_ring(*pos, mission.cover_radius)
         else:
             seen = machine.track_points
-        explored = record_exploration(machine.explored, seen, pos)
+        explored = record_exploration(machine.explored, [*seen, pos])
         return replace(machine, explored=explored, survey_samples=())
 
     def ascend(machine: MissionState, closed: Polygon | None = None):
@@ -433,8 +433,6 @@ def run_mission(scenario: Scenario, backend: SegmenterBackend, max_ticks: int) -
     """Drive render -> run_tick -> step until COMPLETE or the tick budget ends."""
     if max_ticks < 1:
         raise ValueError("max_ticks must be positive")
-    if not scenario.waypoints:
-        raise ValueError("scenario has no waypoints")
 
     wp0 = scenario.waypoints[0]
     yaw0 = 0.0

@@ -49,7 +49,6 @@ __all__ = [
     "classes_at",
     "render",
     "OracleSegmenter",
-    "validate_scenario",
     "parse_scenario_text",
     "load_scenario",
     "save_scenario",
@@ -164,10 +163,30 @@ class Scenario:
     waypoints: tuple = ()
 
     def __post_init__(self) -> None:
+        """Cross-field checks; one ValueError lists every violation as 'section.field: why'."""
         wps = tuple((float(x), float(y)) for x, y in self.waypoints)
-        if any(not (math.isfinite(x) and math.isfinite(y)) for x, y in wps):
-            raise ValueError("waypoints must be finite")
         object.__setattr__(self, "waypoints", wps)
+        floor = self.seafloor
+        problems: list[str] = []
+        if self.mission.inspect_altitude >= floor.seabed_depth:
+            problems.append(
+                "mission.inspect_altitude: must be smaller than seafloor.seabed_depth"
+            )
+        if self.mission.survey_depth >= floor.seabed_depth:
+            problems.append("mission.survey_depth: leaves no altitude above the seafloor")
+        if not wps:
+            problems.append("waypoints: at least one waypoint is required")
+        x0, y0, x1, y1 = floor.extent
+        for i, (wx, wy) in enumerate(wps):
+            # a NaN or infinite coordinate fails these comparisons too
+            if not (x0 <= wx <= x1 and y0 <= wy <= y1):
+                problems.append(f"waypoints[{i}]: ({wx}, {wy}) is outside the mapped area")
+        if self.vehicle.seabed_depth < floor.seabed_depth:
+            problems.append(
+                "vehicle.seabed_depth: depth clamp sits above seafloor.seabed_depth"
+            )
+        if problems:
+            raise ValueError("\n".join(problems))
 
     @property
     def seed(self) -> int:
@@ -189,30 +208,6 @@ class Scenario:
         return albedo
 
 
-def validate_scenario(scenario: Scenario) -> list[str]:
-    """Cross-field checks; returns all violations as 'section.field: why'."""
-    problems: list[str] = []
-    floor = scenario.seafloor
-    mission = scenario.mission
-    if mission.inspect_altitude >= floor.seabed_depth:
-        problems.append(
-            "mission.inspect_altitude: must be smaller than seafloor.seabed_depth"
-        )
-    if mission.survey_depth >= floor.seabed_depth:
-        problems.append("mission.survey_depth: leaves no altitude above the seafloor")
-    if not scenario.waypoints:
-        problems.append("waypoints: at least one waypoint is required")
-    x0, y0, x1, y1 = floor.extent
-    for i, (wx, wy) in enumerate(scenario.waypoints):
-        if not (x0 <= wx <= x1 and y0 <= wy <= y1):
-            problems.append(f"waypoints[{i}]: ({wx}, {wy}) is outside the mapped area")
-    if scenario.vehicle.seabed_depth < floor.seabed_depth:
-        problems.append(
-            "vehicle.seabed_depth: depth clamp sits above seafloor.seabed_depth"
-        )
-    return problems
-
-
 # ---------------------------------------------------------------------------
 # Rendering
 
@@ -224,13 +219,22 @@ def _cell_index(
 
     The last item is the on-map mask, or None when every point is on the
     map.  Off-map points get flat index 0, so gathers need no masking.
+    Raises ValueError when a cell index would not fit in int64 (a NaN
+    point, or one whose footprint overflowed).
     """
     x0, y0 = seafloor.origin
-    ix = np.floor((np.asarray(wx, dtype=float) - x0) / seafloor.resolution).astype(np.int64)
-    iy = np.floor((np.asarray(wy, dtype=float) - y0) / seafloor.resolution).astype(np.int64)
+    fx = np.floor((np.asarray(wx, dtype=float) - x0) / seafloor.resolution)
+    fy = np.floor((np.asarray(wy, dtype=float) - y0) / seafloor.resolution)
     h, w = seafloor.label_map.data.shape
+    on_map = False
+    if fx.size:
+        x_lo, x_hi, y_lo, y_hi = fx.min(), fx.max(), fy.min(), fy.max()
+        if not (-2.0**63 <= x_lo and x_hi < 2.0**63 and -2.0**63 <= y_lo and y_hi < 2.0**63):
+            raise ValueError("world points are too far from the map for an int64 cell index")
+        on_map = x_lo >= 0 and x_hi < w and y_lo >= 0 and y_hi < h
+    ix, iy = fx.astype(np.int64), fy.astype(np.int64)
     flat = iy * w + ix
-    if ix.size and ix.min() >= 0 and ix.max() < w and iy.min() >= 0 and iy.max() < h:
+    if on_map:
         return ix, iy, flat, None
     inside = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
     return ix, iy, np.where(inside, flat, 0), inside
@@ -314,9 +318,10 @@ def render(
             scenario, codes.ravel()[off], ix.ravel()[off], iy.ravel()[off]
         )
 
-    out = attenuate(Raster(img), scenario.water, altitude)
-    out = add_speckle(out, scenario.water, _pose_seed(scenario, x, y, yaw, altitude))
-    return Frame(out.data, x, y, yaw, altitude), LabelMask(codes)
+    # the water column keeps the frame type, so the pose stamped here survives
+    frame = attenuate(Frame(img, x, y, yaw, altitude), scenario.water, altitude)
+    frame = add_speckle(frame, scenario.water, _pose_seed(scenario, x, y, yaw, altitude))
+    return frame, LabelMask(codes)
 
 
 class OracleSegmenter:
@@ -354,14 +359,17 @@ _CONFIGS = {
 _SECTIONS = (*_CONFIGS, "waypoints")
 _COLOR_KEYS = ("color_sand", "color_posidonia", "color_debris", "color_rocks")
 
-# every key a section takes, mapped to a default of the type its value parses
-# to: str, an n-tuple of floats, int or float.  The seafloor's label_map and
-# colors are written as the map and color_* keys; water also takes a preset.
+# every key a section takes, in the order save_scenario writes them, mapped
+# to a default of the type its value parses to: str, an n-tuple of floats,
+# int or float.  The seafloor's label_map and colors are written as the map
+# and color_* keys; water also takes a preset, which is never written.
 _KEY_DEFAULTS = {
     section: {f.name: f.default for f in fields(cls) if f.name not in ("label_map", "colors")}
     for section, cls in _CONFIGS.items()
 }
-_KEY_DEFAULTS["seafloor"].update(map="", **dict.fromkeys(_COLOR_KEYS, (0.0, 0.0, 0.0)))
+_KEY_DEFAULTS["seafloor"] = {
+    "map": "", **_KEY_DEFAULTS["seafloor"], **dict.fromkeys(_COLOR_KEYS, (0.0, 0.0, 0.0))
+}
 _KEY_DEFAULTS["water"]["preset"] = ""
 
 
@@ -491,17 +499,12 @@ def parse_scenario_text(text: str, base_dir=".", source: str = "<scenario>") -> 
         for section in ("camera", "detector", "vehicle", "tracking", "mission")
     }
 
-    scenario = None
-    if not errors and seafloor is not None:
-        scenario = Scenario(
-            seafloor=seafloor, water=water, **configs, waypoints=tuple(waypoints)
-        )
-        errors.extend(f"{source}: {p}" for p in validate_scenario(scenario))
-
-    if errors:
-        raise ValueError("\n".join(errors))
-    assert scenario is not None
-    return scenario
+    if not errors:
+        try:
+            return Scenario(seafloor=seafloor, water=water, **configs, waypoints=tuple(waypoints))
+        except ValueError as exc:
+            errors.extend(f"{source}: {p}" for p in str(exc).splitlines())
+    raise ValueError("\n".join(errors))
 
 
 def load_scenario(path) -> Scenario:
@@ -511,6 +514,8 @@ def load_scenario(path) -> Scenario:
 
 
 def _fmt(v) -> str:
+    if isinstance(v, tuple):
+        return " ".join(_fmt(c) for c in v)
     if isinstance(v, float):
         return repr(v)
     return str(v)
@@ -524,32 +529,14 @@ def save_scenario(scenario: Scenario, path) -> None:
     map_name = f"{stem}_map.pgm"
     write_mask(scenario.seafloor.label_map, os.path.join(base, map_name))
 
-    floor = scenario.seafloor
-    lines = ["# scenario file (generated)", "", "[seafloor]", f"map = {map_name}"]
-    lines.append(f"resolution = {_fmt(floor.resolution)}")
-    lines.append(f"origin = {_fmt(floor.origin[0])} {_fmt(floor.origin[1])}")
-    lines.append(f"seabed_depth = {_fmt(floor.seabed_depth)}")
-    lines.append(f"noise_amplitude = {_fmt(floor.noise_amplitude)}")
-    for key, rgb in zip(_COLOR_KEYS, floor.colors):
-        lines.append(f"{key} = {_fmt(rgb[0])} {_fmt(rgb[1])} {_fmt(rgb[2])}")
-
-    for section in _CONFIGS:
-        if section == "seafloor":
-            continue
+    lines = ["# scenario file (generated)"]
+    for section, keys in _KEY_DEFAULTS.items():
         cfg = getattr(scenario, section)
-        lines.append("")
-        lines.append(f"[{section}]")
-        for f in fields(cfg):
-            v = getattr(cfg, f.name)
-            if isinstance(v, tuple):
-                lines.append(f"{f.name} = {' '.join(_fmt(c) for c in v)}")
-            else:
-                lines.append(f"{f.name} = {_fmt(v)}")
-
-    lines.append("")
-    lines.append("[waypoints]")
-    for wx, wy in scenario.waypoints:
-        lines.append(f"{_fmt(wx)} {_fmt(wy)}")
-    lines.append("")
+        values = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+        if section == "seafloor":
+            values.update(map=map_name, **dict(zip(_COLOR_KEYS, cfg.colors)))
+        lines += ["", f"[{section}]"]
+        lines += [f"{key} = {_fmt(values[key])}" for key in keys if key in values]
+    lines += ["", "[waypoints]", *(_fmt(wp) for wp in scenario.waypoints), ""]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))

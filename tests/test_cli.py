@@ -99,6 +99,19 @@ class TestDatasetSplit:
         assert code == 1
 
 
+    def test_negative_seed_is_validation_error(self, tmp_path, capsys):
+        listing = tmp_path / "list.txt"
+        listing.write_text("a\nb\n")
+        out_dir = tmp_path / "ds"
+        code, out, err = run_cli(
+            ["dataset-split", str(listing), "--seed", "-1", "--out", str(out_dir)], capsys
+        )
+        assert code == 1
+        assert "seed" in err
+        assert out == ""
+        assert not out_dir.exists()
+
+
 class TestSurveyRun:
     def test_empty_preset(self, tmp_path, capsys):
         out_dir = tmp_path / "run"
@@ -254,6 +267,26 @@ class TestImagingCommands:
         assert "finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("pose", ["50,26,0,1e300", "1e300,0,0,5"])
+    def test_render_rejects_pose_too_far_for_the_map(self, pose, tmp_path, capsys):
+        # the footprint overflows; its cell index would be garbage
+        out = tmp_path / "f.ppm"
+        code, _, err = run_cli(
+            ["render", "--scenario", "five-patch", "--pose", pose, "--out", str(out)], capsys
+        )
+        assert code == 1
+        assert "int64" in err
+        assert not out.exists()
+
+    def test_render_rejects_non_positive_altitude(self, tmp_path, capsys):
+        out = tmp_path / "f.ppm"
+        code, _, err = run_cli(
+            ["render", "--scenario", "empty", "--pose", "10,10,0,0", "--out", str(out)], capsys
+        )
+        assert code == 1
+        assert "altitude" in err
+        assert not out.exists()
+
 
 class TestEvalIou:
     def test_identical_dirs(self, tmp_path, capsys):
@@ -334,6 +367,18 @@ class TestDatasetAugment:
             assert code == 0
             outs.append((out_dir / "f_aug.ppm").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_negative_seed_is_validation_error(self, tmp_path, capsys):
+        img = tmp_path / "f.ppm"
+        img.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
+        out_dir = tmp_path / "o"
+        code, out, err = run_cli(
+            ["dataset-augment", str(img), "--seed", "-1", "--out", str(out_dir)], capsys
+        )
+        assert code == 1
+        assert "--seed" in err
+        assert out == ""
+        assert not out_dir.exists()
 
     def test_missing_mask(self, tmp_path, capsys):
         img = tmp_path / "f.ppm"

@@ -136,6 +136,11 @@ class TestSplit:
         with pytest.raises(ValueError):
             SplitSpec(-0.1, 0.2)
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.0, "3"])
+    def test_rejects_seed_that_is_not_a_non_negative_int(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            SplitSpec(seed=seed)
+
     def test_partition(self):
         items = [f"im{i}" for i in range(23)]
         train, val, test = split(items, SplitSpec(seed=5))

@@ -212,7 +212,7 @@ class TestExploredMap:
     def test_single_dive_covers_square(self):
         explored = ExploredMap(alpha=20.0)
         surface = [(0, 0), (10, 0), (10, 10), (0, 10)]
-        explored = record_exploration(explored, surface, (5.0, 5.0))
+        explored = record_exploration(explored, [*surface, (5.0, 5.0)])
         assert len(explored.polygons) == 1
         assert point_in_region((5.0, 5.0), explored.polygons)
         for p in surface:
@@ -221,9 +221,9 @@ class TestExploredMap:
     def test_two_distant_dives_two_polygons(self):
         explored = ExploredMap(alpha=20.0)
         square = [(0, 0), (10, 0), (10, 10), (0, 10)]
-        explored = record_exploration(explored, square, (5.0, 5.0))
+        explored = record_exploration(explored, [*square, (5.0, 5.0)])
         far = [(x + 200.0, y) for x, y in square]
-        explored = record_exploration(explored, far, (205.0, 5.0))
+        explored = record_exploration(explored, [*far, (205.0, 5.0)])
         assert len(explored.polygons) == 2
         assert point_in_region((5.0, 5.0), explored.polygons)
         assert point_in_region((205.0, 5.0), explored.polygons)
@@ -231,21 +231,21 @@ class TestExploredMap:
     def test_rerecording_is_idempotent(self):
         explored = ExploredMap(alpha=20.0)
         square = [(0, 0), (10, 0), (10, 10), (0, 10)]
-        once = record_exploration(explored, square, (5.0, 5.0))
-        twice = record_exploration(once, square, (5.0, 5.0))
+        once = record_exploration(explored, [*square, (5.0, 5.0)])
+        twice = record_exploration(once, [*square, (5.0, 5.0)])
         assert len(once.polygons) == len(twice.polygons)
         for a, b in zip(once.polygons, twice.polygons):
             assert vertex_set(a) == vertex_set(b)
 
     def test_too_few_points_no_polygons(self):
-        explored = record_exploration(ExploredMap(alpha=5.0), [], (1.0, 1.0))
+        explored = record_exploration(ExploredMap(alpha=5.0), [(1.0, 1.0)])
         assert explored.polygons == ()
 
     def test_committed_region_survives_rebuild(self):
         region = Polygon(np.array([[50.0, 50.0], [60.0, 50.0], [55.0, 60.0]]))
         explored = ExploredMap(alpha=20.0).add_region(region)
         assert point_in_region((55.0, 53.0), explored.polygons)
-        explored = record_exploration(explored, [(0, 0), (1, 0), (0, 1)], (0.5, 0.5))
+        explored = record_exploration(explored, [(0, 0), (1, 0), (0, 1), (0.5, 0.5)])
         assert point_in_region((55.0, 53.0), explored.polygons)
         # alpha rings first, then committed regions: the byte order of polygons.rings
         assert explored.committed_regions == (region,)
@@ -255,11 +255,28 @@ class TestExploredMap:
         with pytest.raises(ValueError):
             ExploredMap(alpha=-1.0)
 
+    def test_rings_follow_from_points_however_built(self):
+        pts = ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0), (5.0, 5.0), (30.0, 2.0))
+        built = ExploredMap(alpha=20.0, points=pts)
+        recorded = record_exploration(ExploredMap(alpha=20.0), pts)
+        assert built == recorded
+        assert len(built.alpha_rings) == len(recorded.alpha_rings) > 0
+        for a, b in zip(built.alpha_rings, recorded.alpha_rings):
+            assert np.array_equal(a.vertices, b.vertices)
+
+    def test_recording_does_not_triangulate(self):
+        square = [(0, 0), (10, 0), (10, 10), (0, 10)]
+        explored = record_exploration(ExploredMap(alpha=20.0), square)
+        explored = record_exploration(explored, [(5.0, 5.0)])
+        assert "alpha_rings" not in vars(explored)
+        assert len(explored.alpha_rings) == 1
+        assert "alpha_rings" in vars(explored)  # read once, kept
+
     def test_covers_union_of_overlapping_regions(self):
         # parity over the combined ring list would cancel where a committed
         # region overlaps the alpha shape; coverage must behave as a union
         square = [(0, 0), (10, 0), (10, 10), (0, 10)]
-        explored = record_exploration(ExploredMap(alpha=20.0), square, (5.0, 5.0))
+        explored = record_exploration(ExploredMap(alpha=20.0), [*square, (5.0, 5.0)])
         inner = Polygon(np.array([[3.0, 3.0], [7.0, 3.0], [7.0, 7.0], [3.0, 7.0]]))
         explored = explored.add_region(inner)
         assert not point_in_region((5.0, 5.0), list(explored.polygons))

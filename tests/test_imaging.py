@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from posidonia_inspect.imaging import (
     WATER_PRESETS,
+    HsvRaster,
     Raster,
     WaterModel,
     add_speckle,
@@ -71,6 +72,27 @@ class TestRaster:
         img = gray([[0.5]])
         with pytest.raises(ValueError):
             img.data[0, 0, 0] = 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_among_valid_ones(self, bad):
+        arr = np.full((3, 4, 3), 0.5)
+        arr[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            Raster(arr)
+
+    def test_range_message(self):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            Raster(np.full((2, 2, 3), 1.5))
+
+
+class TestHsvRaster:
+    @pytest.mark.parametrize("channel", ["hue", "saturation", "value"])
+    def test_rejects_nan(self, channel):
+        planes = {"hue": np.full((2, 3), 120.0), "saturation": np.full((2, 3), 0.5),
+                  "value": np.full((2, 3), 0.5)}
+        planes[channel][1, 1] = np.nan
+        with pytest.raises(ValueError, match="must lie in"):
+            HsvRaster(**planes)
 
 
 class TestToHsv:

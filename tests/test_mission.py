@@ -26,6 +26,8 @@ from posidonia_inspect.world import (
     OracleSegmenter,
     Scenario,
     SeafloorConfig,
+    load_scenario,
+    save_scenario,
 )
 from posidonia_inspect.imaging import WATER_PRESETS
 
@@ -361,3 +363,14 @@ def test_artifact_digests_are_golden(case, request, tmp_path):
     names = write_mission_log(scn, log, tmp_path)
     digests = tuple(hashlib.sha256((tmp_path / n).read_bytes()).hexdigest() for n in names)
     assert digests == GOLDEN_DIGESTS[case]
+
+
+def test_saved_scenario_flies_the_golden_mission(tmp_path):
+    # the benchmark's path: the scenario goes through its text file first
+    save_scenario(one_disk_scenario(), tmp_path / "disk.scn")
+    scn = load_scenario(tmp_path / "disk.scn")
+    make_backend, max_ticks = ONE_DISK_BACKENDS["wrong_shape"]
+    log = run_mission(scn, make_backend(scn), max_ticks=max_ticks)
+    names = write_mission_log(scn, log, tmp_path / "run")
+    digests = tuple(hashlib.sha256((tmp_path / "run" / n).read_bytes()).hexdigest() for n in names)
+    assert digests == GOLDEN_DIGESTS["wrong_shape"]

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,14 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 from posidonia_inspect.camera import CameraModel, pixel_grid_world
-from posidonia_inspect.imaging import WATER_PRESETS, Raster, WaterModel
+from posidonia_inspect.imaging import (
+    WATER_PRESETS,
+    Raster,
+    WaterModel,
+    add_speckle,
+    attenuate,
+    gamma_correct,
+)
 from posidonia_inspect.presets import (
     blocks_scenario,
     empty_scenario,
@@ -30,7 +38,6 @@ from posidonia_inspect.world import (
     parse_scenario_text,
     render,
     save_scenario,
-    validate_scenario,
 )
 
 
@@ -207,6 +214,28 @@ class TestRender:
         with pytest.raises(ValueError):
             render(tiny_scenario(), 5.0, 5.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("pose", [(50.0, 26.0, 0.0, 1e300), (1e300, 0.0, 0.0, 5.0)])
+    def test_rejects_pose_too_far_for_a_cell_index(self, pose):
+        # the footprint overflows to inf; casting it would warn and render garbage
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="int64 cell index"):
+                render(five_patch_scenario(), *pose)
+
+    def test_classes_at_rejects_nan(self):
+        with pytest.raises(ValueError, match="int64 cell index"):
+            classes_at(tiny_scenario().seafloor, np.array([1.0, np.nan]), np.array([1.0, 1.0]))
+
+    def test_water_column_keeps_the_frame(self):
+        # the pose stamped before the water column reaches the caller
+        frame = Frame(np.full((96, 128, 3), 0.5), 1.0, 2.0, 0.3, 4.0)
+        turbid = WATER_PRESETS["turbid"]  # 5 dots at 128 x 96
+        for out in (attenuate(frame, turbid, 4.0), add_speckle(frame, turbid, 7),
+                    gamma_correct(frame)):
+            assert isinstance(out, Frame)
+            assert (out.x, out.y, out.yaw, out.altitude) == (1.0, 2.0, 0.3, 4.0)
+            assert not np.array_equal(out.data, frame.data)
+
     def test_attenuation_darkens(self):
         dark_water = WaterModel(attenuation=0.3, backscatter_veil=0.0, speckle_density=0.0)
         bright, _ = render(tiny_scenario(), 5.0, 5.0, 0.0, 3.0)
@@ -347,20 +376,33 @@ def test_backend_takes_rendered_frame_alone(make_backend):
 
 class TestValidateScenario:
     def test_clean_scenario(self):
-        assert validate_scenario(tiny_scenario()) == []
+        assert tiny_scenario().waypoints == ((5.0, 5.0), (15.0, 5.0))
 
     def test_collects_all_problems(self):
-        sc = tiny_scenario(
-            mission=MissionConfig(inspect_altitude=99.0),
-            waypoints=((5.0, 5.0), (900.0, 5.0)),
-        )
-        problems = validate_scenario(sc)
+        with pytest.raises(ValueError) as exc:
+            tiny_scenario(
+                mission=MissionConfig(inspect_altitude=99.0),
+                waypoints=((5.0, 5.0), (900.0, 5.0)),
+            )
+        problems = str(exc.value).splitlines()
         assert any("inspect_altitude" in p for p in problems)
         assert any("waypoints[1]" in p for p in problems)
 
     def test_no_waypoints(self):
-        sc = tiny_scenario(waypoints=())
-        assert any("waypoint" in p for p in validate_scenario(sc))
+        with pytest.raises(ValueError, match="waypoint"):
+            tiny_scenario(waypoints=())
+
+    def test_replace_reruns_the_rules(self):
+        # a mission so deep it would dive through the floor fails when built,
+        # not at the first dive with a guidance error
+        sc = five_patch_scenario()
+        with pytest.raises(ValueError, match=r"^mission\.inspect_altitude: "):
+            replace(sc, mission=replace(sc.mission, inspect_altitude=20.0))
+
+    @pytest.mark.parametrize("wp", [(float("nan"), 5.0), (5.0, float("inf"))])
+    def test_non_finite_waypoint_is_off_the_map(self, wp):
+        with pytest.raises(ValueError, match=r"waypoints\[1\]: .* outside the mapped area"):
+            tiny_scenario(waypoints=((5.0, 5.0), wp))
 
 
 class TestScenarioText:
@@ -452,6 +494,22 @@ class TestScenarioText:
         )
         with pytest.raises(ValueError, match="inspect_altitude"):
             parse_scenario_text(text, base_dir=str(tmp_path))
+
+    def test_cross_field_errors_name_the_source(self, tmp_path):
+        from posidonia_inspect.segmentation import write_mask
+
+        write_mask(checker_map(), tmp_path / "floor.pgm")
+        text = (
+            "[seafloor]\nmap = floor.pgm\nresolution = 1.0\nseabed_depth = 4\n"
+            "[mission]\ninspect_altitude = 9\n"
+            "[waypoints]\n5 5\n900 5\n"
+        )
+        with pytest.raises(ValueError) as exc:
+            parse_scenario_text(text, base_dir=str(tmp_path), source="bad.scn")
+        assert str(exc.value).splitlines() == [
+            "bad.scn: mission.inspect_altitude: must be smaller than seafloor.seabed_depth",
+            "bad.scn: waypoints[1]: (900.0, 5.0) is outside the mapped area",
+        ]
 
     def test_non_finite_numbers_rejected_by_section(self, tmp_path):
         from posidonia_inspect.segmentation import write_mask
