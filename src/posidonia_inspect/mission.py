@@ -239,9 +239,9 @@ def run_tick(
         events.append(MissionEvent(now, kind, ex, ey, detail))
 
     def commit(machine: MissionState) -> MissionState:
-        # what the dive saw joins the explored map: the buffered survey line
-        # and the cover ring when it leaves INSPECT, the track so far when
-        # it leaves TRACK_BOUNDARY, and in both cases where the vehicle is
+        # what the dive saw joins the explored map with the vehicle's own
+        # position: the buffered survey line and the cover ring when it
+        # leaves INSPECT, the track so far when it leaves TRACK_BOUNDARY
         if machine.phase is MissionPhase.INSPECT:
             seen = list(machine.survey_samples) + _cover_ring(*pos, mission.cover_radius)
         else:
