@@ -353,8 +353,11 @@ class ExploredMap:
 
     @cached_property
     def alpha_rings(self) -> tuple[Polygon, ...]:
-        # triangulated at the first read, so a map recorded twice before
-        # anyone looks at it is triangulated once
+        """Alpha shape of the point cloud, triangulated at the first read.
+
+        A map recorded several times before anyone reads it is triangulated
+        once; a nearly collinear cloud has no rings.
+        """
         cloud = np.unique(np.array(self.points, dtype=np.float64).reshape(-1, 2), axis=0)
         if not _has_spread(cloud):
             return ()
