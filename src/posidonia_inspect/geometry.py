@@ -77,6 +77,34 @@ _EIGHT = np.ones((3, 3), dtype=int)
 # Moore neighborhood in clockwise screen order (rows grow downward).
 _DIRS = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
 _DIR_INDEX = {d: i for i, d in enumerate(_DIRS)}
+# bit i of a pixel's neighbor byte is its i-th neighbor in reading order
+_NEIGHBOR_BIT = {d: i for i, d in enumerate(sorted(_DIRS))}
+_ISOLATED = 0xFF
+
+
+def _moore_step_table() -> bytes:
+    """Entry ``neighbors * 8 + back``: the walk's next move from a pixel.
+
+    ``neighbors`` is the pixel's neighbor byte and ``back`` the _DIRS index
+    of its backtrack pixel.  The walk turns clockwise from the backtrack to
+    the first foreground neighbor, and the last background pixel it passed
+    becomes the new backtrack.  An entry packs the step direction in bits
+    3-5 and the new backtrack direction, seen from the pixel stepped to, in
+    bits 0-2; _ISOLATED marks a pixel without foreground neighbors.
+    """
+    table = bytearray([_ISOLATED]) * (256 * 8)
+    for neighbors in range(1, 256):
+        for back in range(8):
+            step = next(
+                d for d in ((back + k) % 8 for k in range(1, 9))
+                if neighbors >> _NEIGHBOR_BIT[_DIRS[d]] & 1
+            )
+            (pr, pc), (sr, sc) = _DIRS[(step - 1) % 8], _DIRS[step]
+            table[neighbors * 8 + back] = step << 3 | _DIR_INDEX[(pr - sr, pc - sc)]
+    return bytes(table)
+
+
+_MOORE_STEP = _moore_step_table()
 
 
 def label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
@@ -91,48 +119,50 @@ def label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
 def trace_component(labels: np.ndarray, lab: int) -> Polygon:
     """Trace the outer boundary ring of one labeled component.
 
-    Moore-neighbor walk over pixels of the component.  The walk state is the
-    (pixel, backtrack) pair; the walk is deterministic in that state, so the
-    ring is the cycle the state sequence falls into.  Components of one or two
-    pixels yield degenerate rings padded to three vertices.
+    Moore-neighbor walk over pixels of the component, starting at its first
+    pixel in row-major order with the backtrack to its west.  The walk state
+    is the (pixel, backtrack) pair; the walk is deterministic in that state, so
+    the ring is the cycle the state sequence falls into.  Components of one or
+    two pixels yield degenerate rings padded to three vertices.
+
+    The walk runs on the component's bounding box with a one-pixel empty
+    border, keyed by flat index: each pixel carries one byte of its eight
+    neighbors, and _MOORE_STEP turns that byte and the backtrack direction
+    into the step.
     """
-    rows, cols = labels.shape
-    pixels = np.argwhere(labels == lab)
-    if pixels.size == 0:
+    component = labels == lab
+    rows = np.flatnonzero(component.any(axis=1))
+    if rows.size == 0:
         raise ValueError(f"no pixels with label {lab}")
-    start = (int(pixels[0][0]), int(pixels[0][1]))
+    cols = np.flatnonzero(component.any(axis=0))
+    top, left = int(rows[0]), int(cols[0])
+    box = np.zeros((rows[-1] - top + 3, cols[-1] - left + 3), dtype=np.uint8)
+    box[1:-1, 1:-1] = component[top:rows[-1] + 1, left:cols[-1] + 1]
+    # neighbor bytes: three cells above, west and east, three cells below
+    above = box[:, :-2] | box[:, 1:-1] << 1 | box[:, 2:] << 2
+    sides = box[1:-1, :-2] | box[1:-1, 2:] << 1
+    moore = np.zeros_like(box)
+    moore[1:-1, 1:-1] = above[:-2] | sides << 3 | above[2:] << 5
+    moore = moore.tobytes()
+    stride = box.shape[1]
+    offsets = [dr * stride + dc for dr, dc in _DIRS]
 
-    def fg(r: int, c: int) -> bool:
-        return 0 <= r < rows and 0 <= c < cols and labels[r, c] == lab
-
-    ring: list[tuple[int, int]] = []
-    seen: dict[tuple[int, int, int, int], int] = {}
-    p = start
-    b = (start[0], start[1] - 1)  # scan order guarantees this is background
-    while True:
-        key = (p[0], p[1], b[0], b[1])
-        if key in seen:
-            ring = ring[seen[key]:]
+    flat = stride + int(np.argmax(box[1]))  # the first pixel of the top row
+    back = 6  # west: scan order guarantees it is background
+    seen: dict[int, None] = {}  # every state so far, in walk order
+    while (state := flat * 8 + back) not in seen:
+        seen[state] = None
+        move = _MOORE_STEP[moore[flat] * 8 + back]
+        if move == _ISOLATED:
             break
-        seen[key] = len(ring)
-        ring.append(p)
-        bi = _DIR_INDEX[(b[0] - p[0], b[1] - p[1])]
-        nxt = None
-        for k in range(1, 9):
-            dr, dc = _DIRS[(bi + k) % 8]
-            q = (p[0] + dr, p[1] + dc)
-            if fg(q[0], q[1]):
-                nxt = q
-                break
-            b = q
-        if nxt is None:  # isolated pixel
-            break
-        p = nxt
+        flat += offsets[move >> 3]
+        back = move & 7
+    walk = list(seen)
+    ring = walk[walk.index(state):]
+    ring += ring[:1] * (3 - len(ring))  # degenerate 1- or 2-pixel blobs
 
-    verts = [(float(c), float(r)) for r, c in ring]
-    while len(verts) < 3:  # degenerate 1- or 2-pixel blobs
-        verts.append(verts[0])
-    poly = Polygon(np.array(verts))
+    r, c = np.divmod(np.array(ring) >> 3, stride)
+    poly = Polygon(np.column_stack((c + (left - 1), r + (top - 1))))
     if polygon_area(poly) < 0.0:
         poly = Polygon(poly.vertices[::-1])
     return poly

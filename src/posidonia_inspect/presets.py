@@ -18,6 +18,7 @@ from .segmentation import DEBRIS, POSIDONIA, ROCKS, LabelMask
 from .world import MissionConfig, Scenario, SeafloorConfig
 
 __all__ = [
+    "MAX_SURVEY_LINES",
     "gen_lawnmower",
     "make_floor",
     "paint_disk",
@@ -29,18 +30,31 @@ __all__ = [
 ]
 
 
+# a line count above this is a bounds or spacing typo, not a survey
+MAX_SURVEY_LINES = 1_000_000
+
+
 def gen_lawnmower(
     bounds: tuple[float, float, float, float], spacing: float
 ) -> tuple[tuple[float, float], ...]:
     """East-west survey lines over bounds=(x0, y0, x1, y1), stepping north.
 
     Successive lines alternate direction so the path is continuous.
+    Bounds must be finite, and they and the spacing may give at most
+    MAX_SURVEY_LINES lines.
     """
     x0, y0, x1, y1 = (float(v) for v in bounds)
+    if not all(math.isfinite(v) for v in (x0, y0, x1, y1)):
+        raise ValueError("bounds must be finite")
     if not (x1 > x0 and y1 >= y0):
         raise ValueError("bounds must satisfy x1 > x0 and y1 >= y0")
     if not (math.isfinite(spacing) and spacing > 0.0):
         raise ValueError("spacing must be positive")
+    lines = (y1 + 1e-9 - y0) / spacing
+    if not lines <= MAX_SURVEY_LINES:
+        raise ValueError(
+            f"bounds and spacing give {lines:.3g} survey lines, more than {MAX_SURVEY_LINES}"
+        )
     waypoints: list[tuple[float, float]] = []
     y = y0
     eastbound = True
@@ -50,6 +64,8 @@ def gen_lawnmower(
         else:
             waypoints += [(x1, y), (x0, y)]
         eastbound = not eastbound
+        if y + spacing == y:
+            raise ValueError(f"spacing {spacing:g} is below the float step at y = {y:g}")
         y += spacing
     return tuple(waypoints)
 

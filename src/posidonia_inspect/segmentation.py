@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
-from scipy import ndimage
 
 from .geometry import Polygon, label_components, trace_component
 from .imaging import Raster, _read_binary_pnm, to_hsv
@@ -152,14 +151,25 @@ _BOXES = (
 
 def majority_smooth(labels: np.ndarray) -> np.ndarray:
     """3x3 majority vote; off-image neighbors do not vote, ties pick the lowest code."""
-    kernel = np.ones((3, 3))
-    counts = np.stack(
-        [
-            ndimage.convolve((labels == c).astype(float), kernel, mode="constant", cval=0.0)
-            for c in range(NUM_CLASSES)
-        ]
-    )
-    return np.argmax(counts, axis=0).astype(np.uint8)
+    rows, cols = labels.shape
+    # the border holds a code no class has, so off-image cells vote for nothing
+    padded = np.full((rows + 2, cols + 2), NUM_CLASSES, dtype=labels.dtype)
+    padded[1:-1, 1:-1] = labels
+
+    def votes(code: int) -> np.ndarray:
+        hit = (padded == code).view(np.uint8)
+        across = hit[:, :-2] + hit[:, 1:-1] + hit[:, 2:]
+        return across[:-2] + across[1:-1] + across[2:]
+
+    best = np.zeros((rows, cols), dtype=np.uint8)
+    best_count = votes(0)
+    for code in range(1, NUM_CLASSES):
+        count = votes(code)
+        # only a strictly larger count wins, so a tie keeps the lower code;
+        # codes rise, so the max writes the winner without a masked store
+        np.maximum(best, (count > best_count).view(np.uint8) * code, out=best)
+        np.maximum(best_count, count, out=best_count)
+    return best
 
 
 class BaselineSegmenter:

@@ -6,6 +6,8 @@ membership, flood-fill boundary sets, and set-based IoU counting.  The
 rendering references keep the straightforward per-frame formulas (fancy-index
 class lookup, per-pixel noise, last-axis reductions and broadcasting) that the
 library computes with cheaper array shapes; they must agree byte for byte.
+The majority-vote and contour references are the library's earlier kernels,
+kept as they were so the faster ones can be compared with them bytewise.
 """
 
 from __future__ import annotations
@@ -15,8 +17,12 @@ from collections import deque
 
 import numpy as np
 
+from scipy import ndimage
+
 from posidonia_inspect.camera import pixel_grid_world
+from posidonia_inspect.geometry import Polygon, polygon_area
 from posidonia_inspect.imaging import Raster, add_speckle
+from posidonia_inspect.segmentation import NUM_CLASSES
 from posidonia_inspect.world import _cell_noise, _pose_seed
 
 
@@ -215,3 +221,74 @@ def reference_render(scenario, x, y, yaw, altitude) -> tuple[np.ndarray, np.ndar
     out = Raster(reference_attenuate(img, scenario.water, altitude))
     out = add_speckle(out, scenario.water, _pose_seed(scenario, x, y, yaw, altitude))
     return out.data, codes
+
+
+# The two segment-and-contour kernels as they were before the table-driven
+# rewrite: four float convolutions for the vote, a tuple-keyed Moore walk for
+# the contour.  The library must return the same bytes.
+
+def reference_majority_smooth(labels: np.ndarray) -> np.ndarray:
+    """3x3 majority vote; off-image neighbors do not vote, ties pick the lowest code."""
+    kernel = np.ones((3, 3))
+    counts = np.stack(
+        [
+            ndimage.convolve((labels == c).astype(float), kernel, mode="constant", cval=0.0)
+            for c in range(NUM_CLASSES)
+        ]
+    )
+    return np.argmax(counts, axis=0).astype(np.uint8)
+
+
+# Moore neighborhood in clockwise screen order (rows grow downward).
+_DIRS = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
+_DIR_INDEX = {d: i for i, d in enumerate(_DIRS)}
+
+
+def reference_trace_component(labels: np.ndarray, lab: int) -> Polygon:
+    """Trace the outer boundary ring of one labeled component.
+
+    Moore-neighbor walk over pixels of the component.  The walk state is the
+    (pixel, backtrack) pair; the walk is deterministic in that state, so the
+    ring is the cycle the state sequence falls into.  Components of one or two
+    pixels yield degenerate rings padded to three vertices.
+    """
+    rows, cols = labels.shape
+    pixels = np.argwhere(labels == lab)
+    if pixels.size == 0:
+        raise ValueError(f"no pixels with label {lab}")
+    start = (int(pixels[0][0]), int(pixels[0][1]))
+
+    def fg(r: int, c: int) -> bool:
+        return 0 <= r < rows and 0 <= c < cols and labels[r, c] == lab
+
+    ring: list[tuple[int, int]] = []
+    seen: dict[tuple[int, int, int, int], int] = {}
+    p = start
+    b = (start[0], start[1] - 1)  # scan order guarantees this is background
+    while True:
+        key = (p[0], p[1], b[0], b[1])
+        if key in seen:
+            ring = ring[seen[key]:]
+            break
+        seen[key] = len(ring)
+        ring.append(p)
+        bi = _DIR_INDEX[(b[0] - p[0], b[1] - p[1])]
+        nxt = None
+        for k in range(1, 9):
+            dr, dc = _DIRS[(bi + k) % 8]
+            q = (p[0] + dr, p[1] + dc)
+            if fg(q[0], q[1]):
+                nxt = q
+                break
+            b = q
+        if nxt is None:  # isolated pixel
+            break
+        p = nxt
+
+    verts = [(float(c), float(r)) for r, c in ring]
+    while len(verts) < 3:  # degenerate 1- or 2-pixel blobs
+        verts.append(verts[0])
+    poly = Polygon(np.array(verts))
+    if polygon_area(poly) < 0.0:
+        poly = Polygon(poly.vertices[::-1])
+    return poly

@@ -59,6 +59,18 @@ class TestGenLawnmower:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("bounds, spacing, why", [
+        ("0,0,1e300,60", "1e-300", "survey lines"),
+        ("0,0,1,inf", "1", "finite"),
+    ])
+    def test_endless_survey_is_validation_error(self, bounds, spacing, why, capsys):
+        code, out, err = run_cli(
+            ["gen-lawnmower", "--bounds", bounds, "--spacing", spacing], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert why in err
+
 
 class TestDatasetSplit:
     def test_reference_counts(self, tmp_path, capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -13,12 +13,24 @@ from posidonia_inspect.geometry import (
     convex_hull,
     explored_covers,
     format_ring,
+    label_components,
     parse_ring,
     point_in_region,
     polygon_area,
     record_exploration,
+    trace_component,
     trace_contours,
 )
+
+
+@st.composite
+def blob_masks(draw):
+    """Boolean masks, sometimes ringed by a component that touches every border."""
+    mask = draw(hnp.arrays(np.bool_, st.tuples(st.integers(1, 20), st.integers(1, 20))))
+    if draw(st.booleans()):
+        mask[[0, -1], :] = True
+        mask[:, [0, -1]] = True
+    return mask
 
 
 def vertex_set(poly: Polygon) -> set[tuple[float, float]]:
@@ -80,6 +92,27 @@ class TestTraceContours:
         for poly in polys:
             traced |= {(int(x), int(y)) for x, y in poly.vertices}
         assert traced == oracles.outer_boundary_pixels(mask)
+
+    @given(blob_masks())
+    @example(np.array([[0, 0, 0], [0, 1, 0], [0, 0, 0]], dtype=bool))  # one pixel
+    @example(np.array([[1, 1], [0, 0]], dtype=bool))  # two pixels on the border
+    @example(np.eye(5, dtype=bool) | np.eye(5, dtype=bool)[::-1])  # diagonal links only
+    @example(np.indices((6, 7)).sum(axis=0) % 2 == 0)  # checkerboard
+    @example(np.pad(np.zeros((3, 3), dtype=bool), 2, constant_values=True))  # a hole
+    @example(np.ones((4, 5), dtype=bool))
+    @settings(max_examples=150, deadline=None)
+    def test_each_ring_matches_reference_bytewise(self, mask):
+        labels, count = label_components(mask)
+        for lab in range(1, count + 1):
+            got = trace_component(labels, lab).vertices
+            want = oracles.reference_trace_component(labels, lab).vertices
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_missing_label_raises(self):
+        labels, _ = label_components(np.eye(3, dtype=bool))
+        with pytest.raises(ValueError, match="no pixels with label 2"):
+            trace_component(labels, 2)
 
 
 class TestConvexHull:

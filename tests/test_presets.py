@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from posidonia_inspect.presets import (
+    MAX_SURVEY_LINES,
     blocks_scenario,
     empty_scenario,
     five_patch_scenario,
@@ -55,6 +56,30 @@ class TestGenLawnmower:
             gen_lawnmower((0.0, 0.0, 10.0, 10.0), 0.0)
         with pytest.raises(ValueError):
             gen_lawnmower((0.0, 0.0, 10.0, 10.0), float("nan"))
+
+    @pytest.mark.parametrize("bounds", [
+        (0.0, 0.0, 1.0, float("inf")),
+        (float("-inf"), 0.0, 1.0, 1.0),
+        (0.0, float("nan"), 1.0, 1.0),
+    ])
+    def test_rejects_non_finite_bounds(self, bounds):
+        with pytest.raises(ValueError, match="finite"):
+            gen_lawnmower(bounds, 1.0)
+
+    @pytest.mark.parametrize("bounds, spacing", [
+        ((0.0, 0.0, 1e300, 60.0), 1e-300),
+        ((0.0, 0.0, 1.0, 1e300), 1e-300),  # the count itself overflows
+        ((0.0, 0.0, 1.0, 0.0), 1e-300),  # the 1e-9 end slack alone is too many lines
+        ((0.0, 0.0, 1.0, 2.0 * MAX_SURVEY_LINES), 1.0),
+    ])
+    def test_rejects_too_many_lines(self, bounds, spacing):
+        with pytest.raises(ValueError, match="survey lines"):
+            gen_lawnmower(bounds, spacing)
+
+    def test_rejects_spacing_below_the_float_step(self):
+        # 1e20 + 1 == 1e20, so y would never move
+        with pytest.raises(ValueError, match="float step"):
+            gen_lawnmower((0.0, 1e20, 1.0, 1e20), 1.0)
 
 
 class TestPainting:

@@ -1,9 +1,13 @@
-"""The example scripts run end to end from a checkout and write their files."""
+"""The scripts run end to end from a checkout: the examples write their files,
+and bench_pair times the working tree against a git ref."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,3 +37,29 @@ def test_make_demo_scenario(tmp_path):
     for preset in ("five_patch", "ring_meadow", "blocks", "empty"):
         for suffix in (".scn", "_map.pgm", "_preview.ppm"):
             assert (tmp_path / f"{preset}{suffix}").stat().st_size > 0
+
+
+def git_checkout() -> bool:
+    try:
+        done = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "HEAD"],
+                              capture_output=True, timeout=30)
+    except OSError:
+        return False
+    return done.returncode == 0
+
+
+@pytest.mark.skipif(not git_checkout(), reason="needs a git checkout with a commit")
+def test_bench_pair_reports_both_sides():
+    result = run_script("bench_pair.py", "--ref", "HEAD", "--pairs", "1", "--seconds", "0",
+                        "--workload", "ring-track")
+    assert result.returncode == 0, result.stderr
+    table = result.stdout.split("ring-track seed 0: 1 parent (HEAD) and 1 change runs")[1]
+    for metric in ("mission_s", "ticks_per_s", "setup_s", "peak_rss_mb"):
+        assert re.search(rf"^{metric} .* of 1$", table, re.MULTILINE), table
+
+
+@pytest.mark.skipif(not git_checkout(), reason="needs a git checkout with a commit")
+def test_bench_pair_rejects_an_unknown_ref():
+    result = run_script("bench_pair.py", "--ref", "no-such-ref", "--pairs", "1")
+    assert result.returncode == 2
+    assert "cannot unpack 'no-such-ref'" in result.stderr

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import iou_by_sets, mean_iou_by_sets
+from oracles import iou_by_sets, mean_iou_by_sets, reference_majority_smooth
 from posidonia_inspect.imaging import HsvRaster, Raster, hsv_to_rgb
 from posidonia_inspect.segmentation import (
     DEBRIS,
+    NUM_CLASSES,
     POSIDONIA,
     ROCKS,
     SAND,
@@ -22,6 +23,16 @@ from posidonia_inspect.segmentation import (
     summarize,
     write_mask,
 )
+
+
+@st.composite
+def class_masks(draw):
+    """1x1 to 40x40 masks of all four codes; 2x2 blocks of one code tie often."""
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    block = draw(st.sampled_from((1, 2)))
+    codes = draw(hnp.arrays(np.uint8, (-(-rows // block), -(-cols // block)),
+                            elements=st.integers(0, NUM_CLASSES - 1)))
+    return np.kron(codes, np.ones((block, block), dtype=np.uint8))[:rows, :cols]
 
 
 def hsv_image(h, s, v, shape=(8, 8)) -> Raster:
@@ -138,6 +149,13 @@ class TestBaselineSegmenter:
         labels = np.array([[0, 0], [1, 1]], dtype=np.uint8)
         # every pixel sees two of each class
         assert (majority_smooth(labels) == 0).all()
+
+    @given(class_masks())
+    @settings(max_examples=150, deadline=None)
+    def test_smoothing_matches_reference_bytewise(self, labels):
+        got, want = majority_smooth(labels), reference_majority_smooth(labels)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSummarize:
