@@ -103,8 +103,14 @@ def pixel_to_local(
 def local_to_world(x: float, y: float, yaw: float, forward, right):
     """Rotate (forward, right) body offsets into world coordinates."""
     c, s = math.cos(yaw), math.sin(yaw)
-    wx = x + forward * c + right * s
-    wy = y + forward * s - right * c
+    # (x + forward*c) + right*s, summed in place: IEEE addition commutes, so
+    # forward*c + x has the same bits, and arrays need fewer temporaries
+    wx = forward * c
+    wx += x
+    wx += right * s
+    wy = forward * s
+    wy += y
+    wy -= right * c
     return wx, wy
 
 
@@ -171,11 +177,20 @@ def _unit_grid(camera: CameraModel) -> tuple[np.ndarray, np.ndarray]:
     return forward_u, right_u
 
 
+@functools.lru_cache(maxsize=2)
+def _local_grid(camera: CameraModel, altitude: float) -> tuple[np.ndarray, np.ndarray]:
+    # (forward, right) ground offsets of every pixel at one altitude; a
+    # mission holds two altitudes (survey and inspect), so two are kept
+    forward, right = _to_local(camera, *_unit_grid(camera), altitude)
+    forward.setflags(write=False)
+    right.setflags(write=False)
+    return forward, right
+
+
 def pixel_grid_world(
     camera: CameraModel, x: float, y: float, yaw: float, altitude: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """World coordinates of every pixel center as two (H, W) arrays."""
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(yaw)):
         raise ValueError("pose x, y and yaw must be finite")
-    forward, right = _to_local(camera, *_unit_grid(camera), altitude)
-    return local_to_world(x, y, yaw, forward, right)
+    return local_to_world(x, y, yaw, *_local_grid(camera, _check_altitude(altitude)))

@@ -95,6 +95,8 @@ def detect_dark_patches(
         value = value_channel(data)
 
     dark = value < dark_thr
+    if not dark.any():  # most survey frames see only sand
+        return DarkPatchReport((), 0, dark_thr, white_thr)
     labels, count = label_components(dark)
 
     half_w = cfg.center_exclusion_fraction * img.width

@@ -25,6 +25,7 @@ __all__ = [
     "hsv_to_rgb",
     "equalize_histogram",
     "gamma_correct",
+    "water_factors",
     "attenuate",
     "add_speckle",
     "read_pnm",
@@ -235,6 +236,26 @@ def gamma_correct(img: Raster, gamma: float = 1.5) -> Raster:
     return replace(img, data=np.power(img.data, gamma))
 
 
+def water_factors(
+    water: WaterModel, path_length: float, channels: int = 3
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel decay exp(-c * L) and veil term veil * (1 - exp(-c * L)).
+
+    These two vectors are all that :func:`attenuate` reads of the water and
+    the path, so paths whose factors are bitwise equal attenuate alike.
+    Gray (1-channel) factors use the channel-mean coefficient and veil.
+    """
+    if path_length < 0 or not math.isfinite(path_length):
+        raise ValueError("path_length must be finite and >= 0")
+    att = np.asarray(water.attenuation, dtype=np.float64)
+    veil = np.asarray(water.backscatter_veil, dtype=np.float64)
+    if channels == 1:
+        att = np.array([att.mean()])
+        veil = np.array([veil.mean()])
+    decay = np.exp(-att * path_length)
+    return decay, veil * (1.0 - decay)
+
+
 def attenuate(img: Raster, water: WaterModel, path_length: float) -> Raster:
     """Attenuate along a water path and add the backscatter veil.
 
@@ -242,19 +263,12 @@ def attenuate(img: Raster, water: WaterModel, path_length: float) -> Raster:
     zero veil this is the plain exponential decay law; L = 0 is the identity.
     Gray rasters use the channel-mean coefficient and veil.
     """
-    if path_length < 0 or not math.isfinite(path_length):
-        raise ValueError("path_length must be finite and >= 0")
-    att = np.asarray(water.attenuation, dtype=np.float64)
-    veil = np.asarray(water.backscatter_veil, dtype=np.float64)
-    if img.channels == 1:
-        att = np.array([att.mean()])
-        veil = np.array([veil.mean()])
-    decay = np.exp(-att * path_length)
+    decay, veil_term = water_factors(water, path_length, img.channels)
     # per-channel factors tiled along a row of the (H, W*C) view, so the
     # arithmetic runs over whole rows instead of broadcasting over C
     h, w, c = img.data.shape
     out = img.data.reshape(h, w * c) * np.tile(decay, w)
-    out += np.tile(veil * (1.0 - decay), w)
+    out += np.tile(veil_term, w)
     np.clip(out, 0.0, 1.0, out=out)
     return replace(img, data=out.reshape(h, w, c))
 
@@ -287,7 +301,10 @@ def write_pnm(img: Raster, path) -> None:
     magic = b"P5" if img.channels == 1 else b"P6"
     with open(path, "wb") as fh:
         fh.write(magic + b"\n%d %d\n255\n" % (img.width, img.height))
-        fh.write(np.round(img.data * 255.0).astype(np.uint8).tobytes())
+        # rounded in place: a map-sized raster needs one float temporary, not two
+        samples = img.data * 255.0
+        np.round(samples, out=samples)
+        fh.write(samples.astype(np.uint8).tobytes())
 
 
 def _read_binary_pnm(path) -> tuple[bytes, int, np.ndarray]:

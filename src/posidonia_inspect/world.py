@@ -36,7 +36,7 @@ import numpy as np
 
 from .camera import CameraModel, pixel_grid_world
 from .darkpatch import DetectorConfig
-from .imaging import WATER_PRESETS, Raster, WaterModel, add_speckle, attenuate
+from .imaging import WATER_PRESETS, Raster, WaterModel, add_speckle, attenuate, water_factors
 from .segmentation import NUM_CLASSES, LabelMask, read_mask, write_mask
 from .vehicle import TrackingConfig, VehicleConfig
 
@@ -207,6 +207,10 @@ class Scenario:
         albedo.setflags(write=False)
         return albedo
 
+    @cached_property
+    def _water_tables(self) -> _WaterTables:
+        return _WaterTables(self.seafloor.label_map.data.size)
+
 
 # ---------------------------------------------------------------------------
 # Rendering
@@ -223,8 +227,12 @@ def _cell_index(
     point, or one whose footprint overflowed).
     """
     x0, y0 = seafloor.origin
-    fx = np.floor((np.asarray(wx, dtype=float) - x0) / seafloor.resolution)
-    fy = np.floor((np.asarray(wy, dtype=float) - y0) / seafloor.resolution)
+    # floor((w - origin) / resolution), in place on one fresh copy per axis
+    fx, fy = np.array(wx, dtype=float), np.array(wy, dtype=float)
+    for f, o in ((fx, x0), (fy, y0)):
+        f -= o
+        f /= seafloor.resolution
+        np.floor(f, out=f)
     h, w = seafloor.label_map.data.shape
     on_map = False
     if fx.size:
@@ -233,7 +241,8 @@ def _cell_index(
             raise ValueError("world points are too far from the map for an int64 cell index")
         on_map = x_lo >= 0 and x_hi < w and y_lo >= 0 and y_hi < h
     ix, iy = fx.astype(np.int64), fy.astype(np.int64)
-    flat = iy * w + ix
+    flat = iy * w
+    flat += ix
     if on_map:
         return ix, iy, flat, None
     inside = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
@@ -302,6 +311,44 @@ def _noisy_albedo(scenario: Scenario, codes: np.ndarray, ix: np.ndarray, iy: np.
     return img
 
 
+class _WaterTables:
+    """Attenuated albedo of every map cell, for at most two water paths.
+
+    A table is keyed by the bytes of the path's :func:`water_factors`, all
+    that :func:`attenuate` reads of it, so altitudes a rounding apart share
+    one.  Baking a table costs one map-sized attenuation, which pays off
+    once frames at its key have covered as many pixels as the map has
+    cells.  So a key is baked only after an unbroken run of frames that
+    long; until then its frames attenuate their own pixels.  A mission
+    holds its survey and inspect altitudes, so two tables are kept, and the
+    least recently used one is dropped before a third is baked.
+    """
+
+    def __init__(self, cells: int):
+        self.cells = cells
+        self.tables: dict[bytes, np.ndarray] = {}  # least recently used first
+        self.run_key = b""
+        self.run_pixels = 0
+
+    def lookup(self, scenario: Scenario, altitude: float, pixels: int) -> np.ndarray | None:
+        """The (cells, 3) table for a frame of ``pixels`` at ``altitude``, or None."""
+        key = b"".join(f.tobytes() for f in water_factors(scenario.water, altitude))
+        if key != self.run_key:
+            self.run_key, self.run_pixels = key, 0
+        self.run_pixels += pixels
+        table = self.tables.pop(key, None)
+        if table is None:
+            if self.run_pixels < self.cells:
+                return None
+            if len(self.tables) == 2:
+                del self.tables[next(iter(self.tables))]
+            h, w = scenario.seafloor.label_map.data.shape
+            albedo = Raster(scenario._albedo.reshape(h, w, 3))
+            table = attenuate(albedo, scenario.water, altitude).data.reshape(h * w, 3)
+        self.tables[key] = table
+        return table
+
+
 def render(
     scenario: Scenario, x: float, y: float, yaw: float, altitude: float
 ) -> tuple[Frame, LabelMask]:
@@ -310,16 +357,22 @@ def render(
     gx, gy = pixel_grid_world(scenario.camera, x, y, yaw, altitude)
     ix, iy, flat, inside = _cell_index(floor, gx, gy)
     codes = _gather_codes(floor, flat, inside)
-    img = scenario._albedo.take(flat, axis=0)
+    # at a held altitude the pixels come attenuated from a baked table;
+    # otherwise they come raw and the whole frame is attenuated below
+    table = scenario._water_tables.lookup(scenario, altitude, codes.size)
+    img = (scenario._albedo if table is None else table).take(flat, axis=0)
     if inside is not None:
         # off-map pixels are sand with the noise of their own cell
         off = np.flatnonzero(~inside)
-        img.reshape(-1, 3)[off] = _noisy_albedo(
-            scenario, codes.ravel()[off], ix.ravel()[off], iy.ravel()[off]
-        )
+        sand = _noisy_albedo(scenario, codes.ravel()[off], ix.ravel()[off], iy.ravel()[off])
+        if table is not None:
+            sand = attenuate(Raster(sand[:, np.newaxis]), scenario.water, altitude).data[:, 0]
+        img.reshape(-1, 3)[off] = sand
 
-    # the water column keeps the frame type, so the pose stamped here survives
-    frame = attenuate(Frame(img, x, y, yaw, altitude), scenario.water, altitude)
+    frame = Frame(img, x, y, yaw, altitude)
+    if table is None:
+        # the water column keeps the frame type, so the pose stamped here survives
+        frame = attenuate(frame, scenario.water, altitude)
     frame = add_speckle(frame, scenario.water, _pose_seed(scenario, x, y, yaw, altitude))
     return frame, LabelMask(codes)
 

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from posidonia_inspect.camera import (
     CameraModel,
+    _local_grid,
     footprint_half_extents,
     footprint_polygon,
+    local_to_world,
     pixel_grid_world,
     pixel_to_local,
     pixel_to_world,
@@ -142,3 +144,31 @@ class TestPixelGrid:
         gx[0, 0] = 123.0
         gx2, _ = pixel_grid_world(CAM, 0.0, 0.0, 0.0, 5.0)
         assert gx2[0, 0] != 123.0
+
+    @pytest.mark.parametrize("altitude", [8.0, 8.000000000000002])
+    def test_bytes_match_pointwise_projection(self, altitude):
+        # the first call at 8.0 fills the grid cache and the second reads it;
+        # the next altitude is one ulp away, so its grid is computed fresh
+        cam = CameraModel(80.0, 60.0, 10, 7)
+        pose = (5.0, -2.0, 0.9, altitude)
+        for _ in range(2):
+            hits = _local_grid.cache_info().hits
+            gx, gy = pixel_grid_world(cam, *pose)
+            for row in range(cam.height):
+                for col in range(cam.width):
+                    wx, wy = pixel_to_world(cam, float(col), float(row), *pose)
+                    assert (gx[row, col], gy[row, col]) == (wx, wy)
+        assert _local_grid.cache_info().hits > hits
+
+    def test_cached_local_grids_are_readonly(self):
+        pixel_grid_world(CAM, 0.0, 0.0, 0.0, 6.0)
+        for grid in _local_grid(CAM, 6.0):
+            with pytest.raises(ValueError, match="read-only"):
+                grid[0, 0] = 0.0
+
+
+def test_local_to_world_keeps_scalars_python_floats():
+    wx, wy = local_to_world(1.0, 2.0, 0.5, 3.0, -4.0)
+    assert type(wx) is float and type(wy) is float
+    assert (wx, wy) == (1.0 + 3.0 * math.cos(0.5) + -4.0 * math.sin(0.5),
+                        2.0 + 3.0 * math.sin(0.5) - -4.0 * math.cos(0.5))

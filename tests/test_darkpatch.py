@@ -144,6 +144,27 @@ class TestDetect:
         deep = detect_dark_patches(Raster(data), cfg, vehicle_depth=10.0)
         assert len(deep.patches) == 1
 
+    def test_frame_without_dark_pixels_skips_labelling(self, monkeypatch):
+        import posidonia_inspect.darkpatch as darkpatch
+
+        cfg = DetectorConfig(threshold_depth_gain=0.01)
+        sand = scene()
+        sand[::7, ::9] = 1.0  # bright speckle, so the clamp path runs too
+        speck = sand.copy()
+        speck[50, 60] = 0.05  # one dark pixel, far below the minimum area
+        labelled, label = [], darkpatch.label_components
+        monkeypatch.setattr(darkpatch, "label_components",
+                            lambda mask: labelled.append(mask) or label(mask))
+        full = detect_dark_patches(Raster(speck), cfg, vehicle_depth=3.0)
+        assert len(labelled) == 1
+
+        def unreachable(mask):
+            raise AssertionError("label_components ran on a frame with no dark pixel")
+
+        monkeypatch.setattr(darkpatch, "label_components", unreachable)
+        report = detect_dark_patches(Raster(sand), cfg, vehicle_depth=3.0)
+        assert report == full == darkpatch.DarkPatchReport((), 0, *cfg.thresholds(3.0))
+
     def test_deterministic(self):
         data = paint_disk(scene(), 40, 30, 12, 0.05)
         a = detect_dark_patches(Raster(data))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
+from posidonia_inspect import world
 from posidonia_inspect.camera import CameraModel, pixel_grid_world
 from posidonia_inspect.imaging import (
     WATER_PRESETS,
@@ -18,6 +19,7 @@ from posidonia_inspect.imaging import (
     attenuate,
     gamma_correct,
 )
+from posidonia_inspect.mission import run_mission, write_mission_log
 from posidonia_inspect.presets import (
     blocks_scenario,
     empty_scenario,
@@ -314,12 +316,130 @@ class TestRenderMatchesReference:
         digest = hashlib.sha256(frame.data.tobytes()).hexdigest()
         assert digest == self.SPECKLED_FRAME_DIGESTS[water, pose]
 
-    def test_albedo_baked_on_first_render(self, tmp_path):
+    # (x, y, yaw) over the 160 m x 140 m five-patch floor; at x = 1 every
+    # altitude below sees past the west edge
+    FIVE_PATCH_POSES = {"on_map": (60.0, 30.0, 0.3), "edge_grazing": (1.0, 40.0, 0.4)}
+
+    @pytest.mark.parametrize("water", sorted(WATER_PRESETS))
+    @pytest.mark.parametrize("pose_name", sorted(FIVE_PATCH_POSES))
+    def test_bytes_on_both_render_paths(self, pose_name, water, monkeypatch):
+        # five-patch has 89600 cells, so a held altitude bakes its table on
+        # the 8th 128 x 96 frame and every earlier frame takes the unbaked path
+        sc = replace(five_patch_scenario(), water=WATER_PRESETS[water])
+        bakes = count_bakes(monkeypatch, sc)
+        pose = self.FIVE_PATCH_POSES[pose_name]
+        survey, inspect = 13.0, sc.mission.inspect_altitude
+        for altitude in (survey, inspect):
+            fraction = on_map_fraction(sc, (*pose, altitude))
+            assert fraction == 1.0 if pose_name == "on_map" else 0.0 < fraction < 1.0
+
+        def check(altitude):
+            frame, gt = render(sc, *pose, altitude)
+            img, codes = oracles.reference_render(sc, *pose, altitude)
+            assert frame.data.tobytes() == img.tobytes()
+            assert gt.data.tobytes() == codes.tobytes()
+
+        check(survey)  # cold
+        assert bakes == []
+        for _ in range(7):  # held until its table is baked
+            check(survey)
+        assert len(bakes) == 1
+        for k in range(1, 21):  # a descent through 20 altitudes
+            check(survey - 0.4 * k)
+        assert len(bakes) == 1
+        for _ in range(10):  # the inspect hold, baked on its 8th frame
+            check(inspect)
+        assert len(bakes) == 2
+        check(survey)  # back at the survey table
+        assert len(bakes) == 2
+
+    def test_albedo_baked_on_first_render(self, tmp_path, monkeypatch):
         save_scenario(textured_scenario(0.03, "clear"), tmp_path / "s.scn")
+        bakes: list = []
+        monkeypatch.setattr(world, "attenuate", lambda img, *a: bakes.append(img) or attenuate(img, *a))
         sc = load_scenario(tmp_path / "s.scn")
-        assert "_albedo" not in vars(sc)  # setting up a scenario does not bake
+        # setting up a scenario bakes neither the albedo nor a water table
+        assert "_albedo" not in vars(sc) and "_water_tables" not in vars(sc)
+        assert bakes == []
         render(sc, *RENDER_POSES["on_map"][0])
         assert vars(sc)["_albedo"].shape == (30 * 40, 3)
+
+
+def count_bakes(monkeypatch, scenario) -> list:
+    """Record each map-sized attenuation (a table bake) of ``scenario``.
+
+    Also checks that a bake never runs with two tables alive: the least
+    recently used one is dropped first.
+    """
+    h, w = scenario.seafloor.label_map.data.shape
+    bakes: list = []
+
+    def counting(img, water, path_length):
+        if img.data.shape[:2] == (h, w):
+            assert len(scenario._water_tables.tables) < 2
+            bakes.append(path_length)
+        return attenuate(img, water, path_length)
+
+    monkeypatch.setattr(world, "attenuate", counting)
+    return bakes
+
+
+class TestWaterTables:
+    """A held altitude's frames come from a table baked once per water path."""
+
+    POSE = (60.0, 30.0, 0.3)
+
+    def test_bake_waits_for_a_map_of_pixels(self, monkeypatch):
+        sc = five_patch_scenario()
+        bakes = count_bakes(monkeypatch, sc)
+        # 7 frames of 12288 px fall short of the 89600 cells, 8 do not
+        for _ in range(7):
+            render(sc, *self.POSE, 13.0)
+        assert bakes == []
+        render(sc, *self.POSE, 13.0)
+        assert bakes == [13.0]
+
+    def test_altitudes_with_equal_factors_share_a_table(self, monkeypatch):
+        sc = five_patch_scenario()  # clear water
+        bakes = count_bakes(monkeypatch, sc)
+        for altitude in (13.0,) * 8 + (12.999999999999998, 12.999999999999996) * 8:
+            render(sc, *self.POSE, altitude)
+        assert bakes == [13.0]
+        assert len(sc._water_tables.tables) == 1
+
+    def test_third_table_drops_the_least_recently_used(self, monkeypatch):
+        sc = five_patch_scenario()
+        bakes = count_bakes(monkeypatch, sc)
+        for altitude, frames in ((13.0, 8), (9.0, 8), (13.0, 1), (7.0, 8), (13.0, 1)):
+            for _ in range(frames):
+                render(sc, *self.POSE, altitude)
+        # 9.0 was used least recently when 7.0 was baked, so it went first
+        assert bakes == [13.0, 9.0, 7.0]
+        for _ in range(8):
+            render(sc, *self.POSE, 9.0)
+        assert bakes == [13.0, 9.0, 7.0, 9.0]
+        assert len(sc._water_tables.tables) == 2
+
+    def test_descent_bakes_nothing(self, monkeypatch):
+        sc = five_patch_scenario()
+        bakes = count_bakes(monkeypatch, sc)
+        for k in range(40):  # a new altitude every frame
+            render(sc, *self.POSE, 13.0 - 0.2 * k)
+        assert bakes == []
+
+    def test_mission_bakes_two_tables_and_reruns_to_the_same_bytes(self, tmp_path, monkeypatch):
+        sc = five_patch_scenario()
+        bakes = count_bakes(monkeypatch, sc)
+        runs = []
+        for name in ("cold", "warm"):
+            log = run_mission(sc, OracleSegmenter(sc), max_ticks=8000)
+            assert log.events[-1].kind == "MISSION_COMPLETE"
+            write_mission_log(sc, log, tmp_path / name)
+            runs.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+            assert len(sc._water_tables.tables) <= 2
+        # the survey and inspect altitudes (the hold may sit an ulp off), once each
+        assert sorted(bakes) == [pytest.approx(sc.mission.inspect_altitude), 13.0]
+        assert runs[0] == runs[1]
 
 
 class TestOracleSegmenter:
