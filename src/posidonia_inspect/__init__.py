@@ -8,14 +8,13 @@ map so a survey never dives twice on the same spot.
 
 __version__ = "0.1.0"
 
-from .camera import CameraModel, footprint_polygon, pixel_to_world
+from .camera import CameraModel, pixel_to_world
 from .darkpatch import DarkPatchReport, DetectorConfig, detect_dark_patches
 from .dataset import SplitSpec, augment_image, augment_mask, rasterize_annotation, split, split_sizes
 from .geometry import (
     ExploredMap,
     Polygon,
     alpha_shape,
-    convex_hull,
     explored_covers,
     point_in_region,
     record_exploration,
@@ -55,7 +54,6 @@ from .world import (
 __all__ = [
     "__version__",
     "CameraModel",
-    "footprint_polygon",
     "pixel_to_world",
     "DarkPatchReport",
     "DetectorConfig",
@@ -69,7 +67,6 @@ __all__ = [
     "ExploredMap",
     "Polygon",
     "alpha_shape",
-    "convex_hull",
     "explored_covers",
     "point_in_region",
     "record_exploration",

@@ -18,16 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Polygon
-
 __all__ = [
     "CameraModel",
-    "footprint_half_extents",
-    "footprint_polygon",
     "pixel_to_local",
     "local_to_world",
     "pixel_to_world",
-    "world_to_pixel",
     "pixel_grid_world",
 ]
 
@@ -80,12 +75,6 @@ def _to_local(camera: CameraModel, forward_u, right_u, altitude: float):
     return forward_u * 2.0 * alt * camera.tan_half_v, right_u * 2.0 * alt * camera.tan_half_h
 
 
-def footprint_half_extents(camera: CameraModel, altitude: float) -> tuple[float, float]:
-    """Half extents (lateral, forward) of the imaged ground rectangle."""
-    alt = _check_altitude(altitude)
-    return alt * camera.tan_half_h, alt * camera.tan_half_v
-
-
 def pixel_to_local(
     camera: CameraModel, col, row, altitude: float
 ):
@@ -125,44 +114,6 @@ def pixel_to_world(
 ):
     forward, right = pixel_to_local(camera, col, row, altitude)
     return local_to_world(x, y, yaw, forward, right)
-
-
-def world_to_pixel(
-    camera: CameraModel,
-    wx,
-    wy,
-    x: float,
-    y: float,
-    yaw: float,
-    altitude: float,
-):
-    """Inverse of :func:`pixel_to_world` for points on the seafloor plane."""
-    alt = _check_altitude(altitude)
-    c, s = math.cos(yaw), math.sin(yaw)
-    dx = np.asarray(wx, dtype=float) - x
-    dy = np.asarray(wy, dtype=float) - y
-    forward = dx * c + dy * s
-    right = dx * s - dy * c
-    u = right / (2.0 * alt * camera.tan_half_h) + 0.5
-    v = 0.5 - forward / (2.0 * alt * camera.tan_half_v)
-    col = u * camera.width - 0.5
-    row = v * camera.height - 0.5
-    if np.isscalar(wx) and np.isscalar(wy):
-        return float(col), float(row)
-    return col, row
-
-
-def footprint_polygon(
-    camera: CameraModel, x: float, y: float, yaw: float, altitude: float
-) -> Polygon:
-    """World-frame rectangle imaged by the camera, counterclockwise."""
-    half_r, half_f = footprint_half_extents(camera, altitude)
-    corners = []
-    # front-right, front-left, back-left, back-right: CCW for yaw = 0
-    for f_sign, r_sign in ((1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (-1.0, 1.0)):
-        wx, wy = local_to_world(x, y, yaw, f_sign * half_f, r_sign * half_r)
-        corners.append((wx, wy))
-    return Polygon(np.array(corners, dtype=float))
 
 
 @functools.lru_cache(maxsize=8)

@@ -219,6 +219,9 @@ def cmd_dataset_masks(args) -> int:
         annotations = [parse_annotation(obj) for obj in items]
     except ValueError as exc:
         raise CommandError(f"{args.annotations}: {exc}") from exc
+    dupes = sorted(name for name, n in Counter(a.image for a in annotations).items() if n > 1)
+    if dupes:
+        raise CommandError(f"{args.annotations}: duplicate image names: {', '.join(dupes)}")
     out = _out_dir(args.out)
     for ann in annotations:
         write_mask(rasterize_annotation(ann), out / f"{ann.image}.pgm")

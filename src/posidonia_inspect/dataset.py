@@ -5,14 +5,15 @@ An annotation is one JSON object per image::
     {"image": "dive01_0042", "width": 640, "height": 480,
      "regions": [{"class": 1, "points": [[x, y], ...]}, ...]}
 
-Region points are polygon vertices in pixel coordinates.  Rasterization
-fills with even-odd parity, treats pixels whose center lies on an edge
-as inside, and paints regions in listed order so later entries win.
+``image`` is a plain file name, since its mask is written as
+``<image>.pgm``.  Region points are polygon vertices in pixel
+coordinates.  Rasterization fills with even-odd parity, treats pixels
+whose center lies on an edge as inside, and paints regions in listed
+order so later entries win.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,8 +27,6 @@ __all__ = [
     "AnnotatedRegion",
     "ImageAnnotation",
     "parse_annotation",
-    "load_annotation",
-    "save_annotation",
     "rasterize_annotation",
     "SplitSpec",
     "split",
@@ -51,7 +50,8 @@ class AnnotatedRegion:
             raise ValueError("region needs at least 3 [x, y] points")
         if not np.isfinite(pts).all():
             raise ValueError("region points must be finite")
-        if not isinstance(self.class_code, int) or not 0 <= self.class_code < NUM_CLASSES:
+        code = self.class_code
+        if not isinstance(code, int) or isinstance(code, bool) or not 0 <= code < NUM_CLASSES:
             raise ValueError(f"class must be an integer in [0, {NUM_CLASSES - 1}]")
         pts = pts.copy()
         pts.setflags(write=False)
@@ -66,7 +66,10 @@ class ImageAnnotation:
     regions: tuple[AnnotatedRegion, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.width, int) or not isinstance(self.height, int):
+        name = self.image
+        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise ValueError(f"annotation 'image' must be a plain file name, got {name!r}")
+        if any(not isinstance(d, int) or isinstance(d, bool) for d in (self.width, self.height)):
             raise ValueError(f"annotation {self.image}: width/height must be integers")
         if self.width < 1 or self.height < 1:
             raise ValueError(f"annotation {self.image}: image dimensions must be positive")
@@ -91,8 +94,8 @@ def parse_annotation(obj) -> ImageAnnotation:
         raw_regions = obj["regions"]
     except KeyError as exc:
         raise ValueError(f"annotation is missing key {exc.args[0]!r}") from None
-    if not isinstance(image, str) or not image:
-        raise ValueError("annotation 'image' must be a non-empty string")
+    if not isinstance(raw_regions, list):
+        raise ValueError(f"annotation {image}: 'regions' must be a list")
     regions = []
     for i, entry in enumerate(raw_regions):
         try:
@@ -102,26 +105,6 @@ def parse_annotation(obj) -> ImageAnnotation:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"annotation {image}: region {i}: {exc}") from None
     return ImageAnnotation(image=image, width=width, height=height, regions=tuple(regions))
-
-
-def load_annotation(path) -> ImageAnnotation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_annotation(json.load(fh))
-
-
-def save_annotation(ann: ImageAnnotation, path) -> None:
-    obj = {
-        "image": ann.image,
-        "width": ann.width,
-        "height": ann.height,
-        "regions": [
-            {"class": r.class_code, "points": [[float(x), float(y)] for x, y in r.points]}
-            for r in ann.regions
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
 
 
 def _region_mask(pts: np.ndarray, width: int, height: int) -> np.ndarray:

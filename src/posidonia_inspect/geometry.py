@@ -1,4 +1,4 @@
-"""Planar geometry: pixel contours, hulls, alpha shapes, explored-area maps.
+"""Planar geometry: pixel contours, alpha shapes, explored-area maps.
 
 Conventions
 -----------
@@ -13,7 +13,6 @@ and hole rings clockwise.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -27,14 +26,11 @@ __all__ = [
     "polygon_area",
     "label_components",
     "trace_component",
-    "trace_contours",
-    "convex_hull",
     "alpha_shape",
     "point_in_region",
     "ExploredMap",
     "record_exploration",
     "format_ring",
-    "parse_ring",
 ]
 
 
@@ -168,19 +164,8 @@ def trace_component(labels: np.ndarray, lab: int) -> Polygon:
     return poly
 
 
-def trace_contours(mask: np.ndarray) -> list[Polygon]:
-    """One outer boundary polygon per 8-connected foreground component.
-
-    Rings are counterclockwise (positive shoelace in (x=col, y=row) axes) and
-    holes are not reported.  The vertex set of each ring equals the set of
-    component pixels that touch the outside through a 4-neighbor.
-    """
-    labels, count = label_components(mask)
-    return [trace_component(labels, lab) for lab in range(1, count + 1)]
-
-
 # ---------------------------------------------------------------------------
-# Hulls and alpha shapes
+# Alpha shapes
 
 def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
@@ -189,34 +174,6 @@ def _as_points(points) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise DegenerateInputError("points must be finite")
     return pts
-
-
-def convex_hull(points) -> Polygon:
-    """Minimal convex hull polygon, counterclockwise, collinear points dropped."""
-    pts = _as_points(points)
-    uniq = np.unique(pts, axis=0)
-    if uniq.shape[0] < 3:
-        raise DegenerateInputError("convex hull needs at least 3 distinct points")
-    order = np.lexsort((uniq[:, 1], uniq[:, 0]))
-    p = uniq[order]
-
-    def cross(o, a, b) -> float:
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[np.ndarray] = []
-    for q in p:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], q) <= 0.0:
-            lower.pop()
-        lower.append(q)
-    upper: list[np.ndarray] = []
-    for q in p[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], q) <= 0.0:
-            upper.pop()
-        upper.append(q)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:
-        raise DegenerateInputError("points are collinear")
-    return Polygon(np.array(hull))
 
 
 def _delaunay(pts: np.ndarray) -> Delaunay:
@@ -423,18 +380,6 @@ def explored_covers(explored: ExploredMap, point) -> bool:
 # ---------------------------------------------------------------------------
 # Ring text format: one polygon per line
 
-_RING_RE = re.compile(r"^ring:((?:\s+\(-?[0-9.eE+-]+,-?[0-9.eE+-]+\))+)\s*$")
-
-
 def format_ring(poly: Polygon) -> str:
     pairs = " ".join(f"({x:.6f},{y:.6f})" for x, y in poly.vertices)
     return f"ring: {pairs}"
-
-
-def parse_ring(line: str) -> Polygon:
-    m = _RING_RE.match(line.strip())
-    if not m:
-        raise ValueError(f"not a ring line: {line!r}")
-    pairs = re.findall(r"\((-?[0-9.eE+-]+),(-?[0-9.eE+-]+)\)", m.group(1))
-    verts = np.array([(float(x), float(y)) for x, y in pairs])
-    return Polygon(verts)

@@ -301,10 +301,12 @@ def write_pnm(img: Raster, path) -> None:
     magic = b"P5" if img.channels == 1 else b"P6"
     with open(path, "wb") as fh:
         fh.write(magic + b"\n%d %d\n255\n" % (img.width, img.height))
-        # rounded in place: a map-sized raster needs one float temporary, not two
-        samples = img.data * 255.0
-        np.round(samples, out=samples)
-        fh.write(samples.astype(np.uint8).tobytes())
+        # rounded in place, 64 rows at a time: a map-sized raster needs no
+        # map-sized float temporary
+        for top in range(0, img.height, 64):
+            samples = img.data[top:top + 64] * 255.0
+            np.round(samples, out=samples)
+            fh.write(samples.astype(np.uint8).tobytes())
 
 
 def _read_binary_pnm(path) -> tuple[bytes, int, np.ndarray]:

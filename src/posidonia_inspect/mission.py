@@ -481,13 +481,14 @@ _TRAJ_HEADER = "t,x,y,z,yaw,state,event"
 def render_overview(scenario: Scenario, log: MissionLog) -> Raster:
     """Top-down map: floor palette, then explored, trajectory, boundaries, patch events."""
     floor = scenario.seafloor
-    img = np.asarray(floor.colors, dtype=float)[floor.label_map.data]
-    cells = img.reshape(-1, 3)
+    # row 0 shows the north edge; cells is a view in map rows, south edge first
+    img = np.asarray(floor.colors, dtype=float)[floor.label_map.data[::-1]]
+    cells = img[::-1]
 
     def paint(points, color: tuple[float, float, float]) -> None:
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        _, _, flat, inside = _cell_index(floor, pts[:, 0], pts[:, 1])
-        cells[flat if inside is None else flat[inside]] = color
+        ix, iy, _, inside = _cell_index(floor, pts[:, 0], pts[:, 1])
+        cells[(iy, ix) if inside is None else (iy[inside], ix[inside])] = color
 
     for poly in log.explored.polygons:
         paint(poly.vertices, (0.0, 0.85, 0.85))
@@ -496,7 +497,7 @@ def render_overview(scenario: Scenario, log: MissionLog) -> Raster:
         paint(poly.vertices, (1.0, 0.9, 0.1))
     paint([(ev.x, ev.y) for ev in log.events
            if ev.kind in (PATCH_DETECTED, PATCH_SKIPPED_EXPLORED)], (1.0, 0.15, 0.15))
-    return Raster(img[::-1])  # row 0 shows the north edge
+    return Raster(img)
 
 
 def write_mission_log(scenario: Scenario, log: MissionLog, out_dir) -> list[str]:

@@ -21,7 +21,6 @@ __all__ = [
     "ROCKS",
     "DEBRIS",
     "NUM_CLASSES",
-    "CLASS_NAMES",
     "LabelMask",
     "write_mask",
     "read_mask",
@@ -41,7 +40,6 @@ POSIDONIA = 1
 DEBRIS = 2
 ROCKS = 3
 NUM_CLASSES = 4
-CLASS_NAMES = ("sand", "posidonia", "debris", "rocks")
 
 
 @dataclass(frozen=True)

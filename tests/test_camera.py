@@ -2,21 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from posidonia_inspect.camera import (
     CameraModel,
     _local_grid,
-    footprint_half_extents,
-    footprint_polygon,
     local_to_world,
     pixel_grid_world,
     pixel_to_local,
     pixel_to_world,
-    world_to_pixel,
 )
-from posidonia_inspect.geometry import polygon_area
+from posidonia_inspect.geometry import Polygon, polygon_area
 
 CAM = CameraModel(hfov_deg=90.0, vfov_deg=70.0, width=128, height=96)
 
@@ -78,44 +73,40 @@ class TestProjection:
         with pytest.raises(ValueError):
             pixel_to_local(CAM, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            world_to_pixel(CAM, 1.0, 1.0, 0.0, 0.0, 0.0, -2.0)
+            pixel_grid_world(CAM, 0.0, 0.0, 0.0, -2.0)
 
-    @settings(max_examples=120, deadline=None)
-    @given(
-        col=st.floats(-0.5, 127.5),
-        row=st.floats(-0.5, 95.5),
-        x=st.floats(-500, 500),
-        y=st.floats(-500, 500),
-        yaw=st.floats(-10, 10),
-        alt=st.floats(0.2, 40.0),
-    )
-    def test_roundtrip(self, col, row, x, y, yaw, alt):
-        wx, wy = pixel_to_world(CAM, col, row, x, y, yaw, alt)
-        col2, row2 = world_to_pixel(CAM, wx, wy, x, y, yaw, alt)
-        assert col2 == pytest.approx(col, abs=1e-6)
-        assert row2 == pytest.approx(row, abs=1e-6)
+
+def corner_centres(x: float, y: float, yaw: float, altitude: float) -> np.ndarray:
+    """Front-right, front-left, back-left, back-right pixel centres: CCW."""
+    gx, gy = pixel_grid_world(CAM, x, y, yaw, altitude)
+    rows, cols = (0, 0, -1, -1), (-1, 0, 0, -1)
+    return np.column_stack((gx[rows, cols], gy[rows, cols]))
 
 
 class TestFootprint:
+    # pixel centres sit half a pixel in from each edge of the imaged
+    # rectangle, whose half extents are altitude * tan(fov / 2)
+    LAT = (CAM.width - 1) / CAM.width * math.tan(math.radians(45.0))
+    FWD = (CAM.height - 1) / CAM.height * math.tan(math.radians(35.0))
+
     def test_half_extents(self):
-        lat, fwd = footprint_half_extents(CAM, 7.0)
-        assert lat == pytest.approx(7.0 * math.tan(math.radians(45.0)))
-        assert fwd == pytest.approx(7.0 * math.tan(math.radians(35.0)))
+        # yaw 0 looks along +x, so the lateral span lies on y
+        gx, gy = pixel_grid_world(CAM, 0.0, 0.0, 0.0, 7.0)
+        assert np.ptp(gy) == pytest.approx(2.0 * 7.0 * self.LAT, rel=1e-12)
+        assert np.ptp(gx) == pytest.approx(2.0 * 7.0 * self.FWD, rel=1e-12)
 
     def test_polygon_area_and_orientation(self):
-        poly = footprint_polygon(CAM, 3.0, 4.0, 1.1, 6.0)
-        lat, fwd = footprint_half_extents(CAM, 6.0)
-        assert polygon_area(poly) == pytest.approx(4.0 * lat * fwd)
+        poly = Polygon(corner_centres(3.0, 4.0, 1.1, 6.0))
+        assert polygon_area(poly) == pytest.approx(4.0 * 36.0 * self.LAT * self.FWD)
 
     def test_polygon_centered_on_vehicle(self):
-        poly = footprint_polygon(CAM, -8.0, 2.5, 0.3, 4.0)
-        center = poly.vertices.mean(axis=0)
-        assert center[0] == pytest.approx(-8.0)
-        assert center[1] == pytest.approx(2.5)
+        gx, gy = pixel_grid_world(CAM, -8.0, 2.5, 0.3, 4.0)
+        assert gx.mean() == pytest.approx(-8.0)
+        assert gy.mean() == pytest.approx(2.5)
 
     def test_yaw_rotates_corners(self):
-        p0 = footprint_polygon(CAM, 0.0, 0.0, 0.0, 5.0).vertices
-        p1 = footprint_polygon(CAM, 0.0, 0.0, math.pi / 2.0, 5.0).vertices
+        p0 = corner_centres(0.0, 0.0, 0.0, 5.0)
+        p1 = corner_centres(0.0, 0.0, math.pi / 2.0, 5.0)
         rot = np.array([[0.0, -1.0], [1.0, 0.0]])
         assert np.allclose(p1, p0 @ rot.T, atol=1e-12)
 

@@ -1,3 +1,4 @@
+import json
 import re
 
 import pytest
@@ -359,6 +360,45 @@ class TestDatasetMasks:
             ["dataset-masks", str(ann), "--out", str(tmp_path / "m")], capsys
         )
         assert code == 1
+
+    @pytest.mark.parametrize("entry", [
+        {"image": "../pe/escaped"},  # a path out of --out
+        {"class": True},
+        {"width": True},
+        {"regions": 5},
+    ], ids=["path-image", "bool-class", "bool-width", "int-regions"])
+    def test_bad_entry_writes_nothing(self, tmp_path, capsys, entry):
+        # the region fits a one-pixel-wide frame, so only the entry is at fault
+        obj = {"image": "x01", "width": 16, "height": 12,
+               "regions": [{"class": 1, "points": [[0, 2], [1, 2], [1, 8]]}]}
+        if "class" in entry:
+            obj["regions"][0].update(entry)
+        else:
+            obj.update(entry)
+        work = tmp_path / "work"
+        work.mkdir()
+        ann = work / "ann.json"
+        ann.write_text(json.dumps([obj]))
+        code, _, err = run_cli(
+            ["dataset-masks", str(ann), "--out", str(work / "masks")], capsys
+        )
+        assert code == 1
+        assert str(ann) in err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["ann.json", "work"]
+
+    def test_duplicate_image_names_write_nothing(self, tmp_path, capsys):
+        ann = tmp_path / "ann.json"
+        regions = [{"class": 1, "points": [[0, 0], [3, 0], [3, 3]]}]
+        ann.write_text(json.dumps([
+            {"image": name, "width": 4, "height": 4, "regions": regions}
+            for name in ("a", "b", "a")
+        ]))
+        out_dir = tmp_path / "masks"
+        code, out, err = run_cli(["dataset-masks", str(ann), "--out", str(out_dir)], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"{ann}: duplicate image names: a" in err
+        assert not out_dir.exists()
 
 
 class TestDatasetAugment:

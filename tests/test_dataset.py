@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,10 +10,8 @@ from posidonia_inspect.dataset import (
     augment_image,
     augment_mask,
     enhance_for_rocks,
-    load_annotation,
     parse_annotation,
     rasterize_annotation,
-    save_annotation,
     split,
     split_sizes,
 )
@@ -59,15 +55,30 @@ class TestAnnotationParsing:
         with pytest.raises(ValueError):
             ImageAnnotation("x", 0, 4, ())
 
-    def test_roundtrip_file(self, tmp_path):
-        ann = parse_annotation(ann_obj([{"class": 2, "points": SQUARE}]))
-        p = tmp_path / "a.json"
-        save_annotation(ann, p)
-        back = load_annotation(p)
-        assert back.image == ann.image
-        assert np.allclose(back.regions[0].points, ann.regions[0].points)
-        # the stored file is plain JSON
-        json.loads(p.read_text())
+    def test_bool_class_is_rejected(self):
+        with pytest.raises(ValueError, match="img01: region 0: class"):
+            parse_annotation(ann_obj([{"class": True, "points": SQUARE}]))
+
+    @pytest.mark.parametrize("key", ["width", "height"])
+    def test_bool_dims_are_rejected(self, key):
+        obj = {**ann_obj([]), key: True}
+        with pytest.raises(ValueError, match="img01: width/height must be integers"):
+            parse_annotation(obj)
+
+    @pytest.mark.parametrize("regions", [5, None, {"class": 1}, "regions"])
+    def test_regions_must_be_a_list(self, regions):
+        with pytest.raises(ValueError, match="img01: 'regions' must be a list"):
+            parse_annotation({**ann_obj([]), "regions": regions})
+
+    @pytest.mark.parametrize(
+        "image", ["../pe/escaped", "a/b", "/abs", "a\\b", ".", "..", "", 5, None]
+    )
+    def test_image_must_be_a_plain_file_name(self, image):
+        with pytest.raises(ValueError, match="plain file name"):
+            parse_annotation({**ann_obj([]), "image": image})
+
+    def test_dotted_file_name_is_accepted(self):
+        assert parse_annotation({**ann_obj([]), "image": "dive.01..a"}).image == "dive.01..a"
 
 
 class TestRasterize:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.spatial import ConvexHull, QhullError
 
 import oracles
 from posidonia_inspect.geometry import (
@@ -10,16 +11,12 @@ from posidonia_inspect.geometry import (
     ExploredMap,
     Polygon,
     alpha_shape,
-    convex_hull,
     explored_covers,
-    format_ring,
     label_components,
-    parse_ring,
     point_in_region,
     polygon_area,
     record_exploration,
     trace_component,
-    trace_contours,
 )
 
 
@@ -35,6 +32,12 @@ def blob_masks(draw):
 
 def vertex_set(poly: Polygon) -> set[tuple[float, float]]:
     return {(float(x), float(y)) for x, y in poly.vertices}
+
+
+def traced_rings(mask: np.ndarray) -> list[Polygon]:
+    """The outer ring of each 8-connected component, in label order."""
+    labels, count = label_components(mask)
+    return [trace_component(labels, lab) for lab in range(1, count + 1)]
 
 
 class TestPolygon:
@@ -53,7 +56,7 @@ class TestTraceContours:
     def test_solid_block(self):
         mask = np.zeros((5, 5), dtype=bool)
         mask[1:4, 1:4] = True
-        polys = trace_contours(mask)
+        polys = traced_rings(mask)
         assert len(polys) == 1
         expected = {(x, y) for x in (1.0, 2.0, 3.0) for y in (1.0, 2.0, 3.0)} - {(2.0, 2.0)}
         assert vertex_set(polys[0]) == expected
@@ -63,12 +66,12 @@ class TestTraceContours:
         mask = np.zeros((8, 8), dtype=bool)
         mask[1:3, 1:3] = True
         mask[5:7, 5:7] = True
-        assert len(trace_contours(mask)) == 2
+        assert len(traced_rings(mask)) == 2
 
     def test_single_pixel_degenerate_ring(self):
         mask = np.zeros((3, 3), dtype=bool)
         mask[1, 2] = True
-        polys = trace_contours(mask)
+        polys = traced_rings(mask)
         assert len(polys) == 1
         assert vertex_set(polys[0]) == {(2.0, 1.0)}
         assert len(polys[0]) == 3
@@ -76,17 +79,17 @@ class TestTraceContours:
     def test_diagonal_pair_is_one_component(self):
         mask = np.zeros((4, 4), dtype=bool)
         mask[0, 0] = mask[1, 1] = True
-        polys = trace_contours(mask)
+        polys = traced_rings(mask)
         assert len(polys) == 1
         assert vertex_set(polys[0]) == {(0.0, 0.0), (1.0, 1.0)}
 
     def test_empty_mask(self):
-        assert trace_contours(np.zeros((4, 4), dtype=bool)) == []
+        assert traced_rings(np.zeros((4, 4), dtype=bool)) == []
 
     @given(hnp.arrays(np.bool_, st.tuples(st.integers(1, 14), st.integers(1, 14))))
     @settings(max_examples=120, deadline=None)
     def test_matches_flood_fill_oracle(self, mask):
-        polys = trace_contours(mask)
+        polys = traced_rings(mask)
         assert len(polys) == oracles.count_components_8(mask)
         traced = set()
         for poly in polys:
@@ -115,40 +118,6 @@ class TestTraceContours:
             trace_component(labels, 2)
 
 
-class TestConvexHull:
-    def test_square_with_interior_point(self):
-        pts = [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)]
-        hull = convex_hull(pts)
-        assert vertex_set(hull) == {(0, 0), (1, 0), (1, 1), (0, 1)}
-        assert polygon_area(hull) == pytest.approx(1.0)
-
-    def test_collinear_raises(self):
-        with pytest.raises(DegenerateInputError):
-            convex_hull([(0, 0), (1, 1), (2, 2)])
-
-    def test_too_few_points(self):
-        with pytest.raises(DegenerateInputError):
-            convex_hull([(0, 0), (1, 1)])
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_brute_force(self, seed):
-        pts = np.random.default_rng(seed).uniform(-3, 7, size=(20, 2))
-        hull = convex_hull(pts)
-        assert vertex_set(hull) == oracles.brute_hull_vertices(pts)
-        assert polygon_area(hull) == pytest.approx(oracles.brute_hull_area(pts), rel=1e-12)
-
-    @given(hnp.arrays(np.float64, st.tuples(st.integers(3, 24), st.just(2)),
-                      elements=st.floats(-50, 50)))
-    @settings(max_examples=80, deadline=None)
-    def test_contains_all_points(self, pts):
-        try:
-            hull = convex_hull(pts)
-        except DegenerateInputError:
-            return
-        for p in pts:
-            assert point_in_region(p, [hull])
-
-
 class TestAlphaShape:
     def test_square_with_center(self):
         pts = [(0, 0), (10, 0), (10, 10), (0, 10), (5, 5)]
@@ -173,10 +142,9 @@ class TestAlphaShape:
             pts = np.random.default_rng(seed).uniform(-5, 5, size=(25, 2))
             diameter = np.ptp(pts, axis=0).max()
             polys = alpha_shape(pts, alpha=1e6 * diameter)
-            hull = convex_hull(pts)
             assert len(polys) == 1
-            assert vertex_set(polys[0]) == vertex_set(hull)
-            assert polygon_area(polys[0]) == pytest.approx(polygon_area(hull), rel=1e-9)
+            assert vertex_set(polys[0]) == oracles.brute_hull_vertices(pts)
+            assert polygon_area(polys[0]) == pytest.approx(oracles.brute_hull_area(pts), rel=1e-9)
 
     def test_area_monotone_in_alpha(self):
         for seed in range(5):
@@ -233,8 +201,8 @@ class TestPointInRegion:
     @settings(max_examples=150, deadline=None)
     def test_matches_winding_oracle(self, pts, query):
         try:
-            hull = convex_hull(pts)
-        except DegenerateInputError:
+            hull = Polygon(pts[ConvexHull(pts).vertices])  # counterclockwise in 2-D
+        except QhullError:
             return
         got = point_in_region(query, [hull])
         want = oracles.winding_inside(query, hull.vertices)
@@ -326,13 +294,3 @@ class TestExploredMap:
         assert explored_covers(explored, (2.0, 1.0))
         assert not explored_covers(explored, (9.0, 9.0))
 
-
-class TestRingFormat:
-    def test_roundtrip(self):
-        poly = Polygon(np.array([[0.0, 0.5], [10.25, 0.0], [3.0, 7.125]]))
-        back = parse_ring(format_ring(poly))
-        assert np.allclose(back.vertices, poly.vertices)
-
-    def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_ring("polygon: (0,0) (1,1) (2,2)")
