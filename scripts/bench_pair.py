@@ -11,8 +11,12 @@ Each pair runs ``perfbench/run.py --trace 0`` once per side, the side that
 goes first alternating from pair to pair so slow drift of the machine falls
 on both.  For each workload it prints, per end-to-end metric of
 ``BENCHMARK.json``, the median on each side, the change/parent ratio, the
-interquartile range of the parent's runs, and in how many pairs the change
-was better.  Exits 1 if any run crashes or reports ``failed > 0``.
+interquartile range of the parent's runs, the metric's bound (a share of
+the parent's median), in how many pairs the change was better, and a
+verdict: ``worse`` when the change's median is worse than the parent's by
+more than the bound, else ``unresolved`` when the parent's interquartile
+range is wider than the bound and not every change run beats every parent
+run, else ``ok``.  Exits 1 if any run crashes or reports ``failed > 0``.
 """
 
 from __future__ import annotations
@@ -78,10 +82,25 @@ def quartile_spread(values: list[float]) -> float:
     return q3 - q1
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    mp, mc = statistics.median(parent), statistics.median(change)
+    if better == "lower":
+        loss, clear = mc - mp, max(change) < min(parent)
+    else:
+        loss, clear = mp - mc, min(change) > max(parent)
+    if loss > bound * mp:
+        return "worse"
+    # a change better in every run than the parent in every run is settled
+    # however wide the parent's spread
+    if quartile_spread(parent) > bound * mp and not clear:
+        return "unresolved"
+    return "ok"
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    metrics = [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     failed = 0
     with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
@@ -114,8 +133,8 @@ def report(workload: str, args, metrics, runs) -> None:
     print(f"\n{workload} seed {args.seed}: {len(parent)} parent ({args.ref}) and "
           f"{len(change)} change runs of {args.seconds:g} s")
     print(f"{'metric':<14}{'parent':>12}{'change':>12}{'ratio':>8}{'parent IQR':>12}"
-          f"{'better':>9}")
-    for name, better in metrics:
+          f"{'bound':>7}{'better':>9}  verdict")
+    for name, better, bound in metrics:
         p = [r[name] for r in parent]
         c = [r[name] for r in change]
         if not p or not c:
@@ -124,7 +143,7 @@ def report(workload: str, args, metrics, runs) -> None:
         wins = sum((b < a) if better == "lower" else (b > a) for a, b in zip(p, c))
         ratio = mc / mp if mp else float("nan")
         print(f"{name:<14}{mp:>12.4f}{mc:>12.4f}{ratio:>8.3f}{quartile_spread(p):>12.4f}"
-              f"{wins:>5} of {min(len(p), len(c))}")
+              f"{bound:>7.0%}{wins:>5} of {min(len(p), len(c))}  {verdict(p, c, better, bound)}")
 
 
 if __name__ == "__main__":

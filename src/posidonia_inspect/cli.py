@@ -156,9 +156,11 @@ def cmd_detect(args) -> int:
 
 def cmd_enhance(args) -> int:
     img = _load_image(args.image)
-    if not np.isfinite(args.gamma) or args.gamma <= 0.0:
-        raise CommandError("gamma must be positive")
-    write_pnm(enhance_for_rocks(img, args.gamma), args.out)
+    try:
+        enhanced = enhance_for_rocks(img, args.gamma)
+    except ValueError as exc:  # a gamma that is not positive and finite
+        raise CommandError(str(exc)) from exc
+    write_pnm(enhanced, args.out)
     return 0
 
 
@@ -328,7 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enhance", help="equalize and gamma-correct one image")
     p.add_argument("image", help="PPM/PGM image")
-    p.add_argument("--gamma", type=float, default=1.5)
+    p.add_argument("--gamma", type=float, default=1.5,
+                   help="power-law exponent; 1.5 is a working value for the "
+                   "rock-enhancement path, not validated against field imagery")
     p.add_argument("--out", required=True, help="output PPM path")
     p.set_defaults(func=cmd_enhance)
 

@@ -61,7 +61,6 @@ class DetectorConfig:
 class DarkPatch:
     """One connected dark region; centroid is (col, row) in pixels."""
 
-    id: int
     centroid: tuple[float, float]
     area_px: int
     mean_value: float
@@ -71,8 +70,6 @@ class DarkPatch:
 class DarkPatchReport:
     patches: tuple[DarkPatch, ...]
     excluded_count: int
-    dark_threshold: float
-    white_threshold: float
 
 
 def detect_dark_patches(
@@ -96,7 +93,7 @@ def detect_dark_patches(
 
     dark = value < dark_thr
     if not dark.any():  # most survey frames see only sand
-        return DarkPatchReport((), 0, dark_thr, white_thr)
+        return DarkPatchReport((), 0)
     labels, count = label_components(dark)
 
     half_w = cfg.center_exclusion_fraction * img.width
@@ -118,22 +115,14 @@ def detect_dark_patches(
         kept.append((centroid_x, centroid_y, area, float(value[rows, cols].mean())))
 
     kept.sort(key=lambda t: (-t[2], t[1], t[0]))
-    patches = tuple(
-        DarkPatch(id=i + 1, centroid=(x, y), area_px=area, mean_value=mv)
-        for i, (x, y, area, mv) in enumerate(kept)
-    )
-    return DarkPatchReport(
-        patches=patches,
-        excluded_count=excluded,
-        dark_threshold=dark_thr,
-        white_threshold=white_thr,
-    )
+    patches = tuple(DarkPatch((x, y), area, mv) for x, y, area, mv in kept)
+    return DarkPatchReport(patches, excluded)
 
 
 def report_lines(report: DarkPatchReport) -> list[str]:
     return [
         "patch {} centroid {:.2f} {:.2f} area {} mean_value {:.4f}".format(
-            p.id, p.centroid[0], p.centroid[1], p.area_px, p.mean_value
+            i, p.centroid[0], p.centroid[1], p.area_px, p.mean_value
         )
-        for p in report.patches
+        for i, p in enumerate(report.patches, 1)
     ]

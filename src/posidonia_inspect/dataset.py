@@ -170,13 +170,12 @@ def split_sizes(n: int, spec: SplitSpec) -> tuple[int, int, int]:
     return train, val, n - train - val
 
 
-def split(items: Sequence, spec: SplitSpec | None = None) -> tuple[list, list, list]:
+def split(items: Sequence, spec: SplitSpec) -> tuple[list, list, list]:
     """Shuffle items with the spec seed and cut into train/val/test."""
-    sp = spec if spec is not None else SplitSpec()
     seq = list(items)
-    order = np.random.default_rng(sp.seed).permutation(len(seq))
+    order = np.random.default_rng(spec.seed).permutation(len(seq))
     shuffled = [seq[i] for i in order]
-    n_train, n_val, _ = split_sizes(len(seq), sp)
+    n_train, n_val, _ = split_sizes(len(seq), spec)
     return (
         shuffled[:n_train],
         shuffled[n_train : n_train + n_val],
@@ -262,6 +261,6 @@ def augment_mask(mask: LabelMask, ops) -> LabelMask:
     return LabelMask(_apply_ops(mask.data, ops, nearest=True))
 
 
-def enhance_for_rocks(img: Raster, gamma: float = 1.5) -> Raster:
+def enhance_for_rocks(img: Raster, gamma: float) -> Raster:
     """Contrast stretch then gamma: lifts rock texture out of dim frames."""
     return gamma_correct(equalize_histogram(img), gamma)

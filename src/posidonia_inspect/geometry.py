@@ -54,9 +54,6 @@ class Polygon:
         verts.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
 
-    def __len__(self) -> int:
-        return self.vertices.shape[0]
-
 
 def polygon_area(poly: Polygon) -> float:
     """Signed shoelace area; positive for counterclockwise rings."""
@@ -289,8 +286,6 @@ def point_in_region(point, polygons) -> bool:
     pt = np.asarray(point, dtype=np.float64)
     if pt.shape != (2,) or not np.all(np.isfinite(pt)):
         raise ValueError("point must be a finite (x, y) pair")
-    if isinstance(polygons, Polygon):
-        polygons = [polygons]
     crossings = 0
     for poly in polygons:
         verts = poly.vertices

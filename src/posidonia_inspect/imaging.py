@@ -225,12 +225,8 @@ def equalize_histogram(img: Raster) -> Raster:
     return hsv_to_rgb(HsvRaster(hue=hsv.hue, saturation=hsv.saturation, value=value))
 
 
-def gamma_correct(img: Raster, gamma: float = 1.5) -> Raster:
-    """Power-law correction out = in ** gamma. gamma must be > 0.
-
-    The default exponent is a working value chosen for the rock-enhancement
-    path; it has not been validated against field imagery.
-    """
+def gamma_correct(img: Raster, gamma: float) -> Raster:
+    """Power-law correction out = in ** gamma. gamma must be > 0."""
     if not (gamma > 0.0) or not math.isfinite(gamma):
         raise ValueError("gamma must be a positive finite number")
     return replace(img, data=np.power(img.data, gamma))

@@ -21,13 +21,12 @@ from .camera import CameraModel, pixel_to_world
 from .darkpatch import detect_dark_patches
 from .geometry import ExploredMap, Polygon, explored_covers, format_ring, record_exploration
 from .imaging import Raster, write_pnm
-from .segmentation import POSIDONIA, LabelMask, SegmenterBackend, meadow_boundary, summarize
+from .segmentation import POSIDONIA, ROCKS, LabelMask, SegmenterBackend, meadow_boundary, summarize
 from .vehicle import (GuidanceRef, VehicleState, boundary_guidance, interior_vertices, step,
                       waypoint_guidance, wrap_angle)
 from .world import Frame, MissionConfig, Scenario, _cell_index, render
 
 __all__ = [
-    "MissionConfig",
     "MissionPhase",
     "MissionState",
     "MissionEvent",
@@ -344,12 +343,13 @@ def run_tick(
         return ascend(machine)
 
     if machine.phase is MissionPhase.INSPECT:
-        summary = summarize(mask, mission.presence_min_fraction)
+        fractions = summarize(mask)
+        present = fractions >= mission.presence_min_fraction
         machine = replace(
             machine,
             inspect_left=machine.inspect_left - 1,
-            inspect_hits=machine.inspect_hits + int(summary.has_posidonia),
-            inspect_rocks=machine.inspect_rocks + int(summary.has_rocks),
+            inspect_hits=machine.inspect_hits + int(present[POSIDONIA]),
+            inspect_rocks=machine.inspect_rocks + int(present[ROCKS]),
         )
         if machine.inspect_left > 0:
             return machine, _hold(inspect_depth, vehicle.yaw), events
@@ -360,7 +360,7 @@ def run_tick(
 
         # a meadow commits the dive at the decision frame, so a run cut
         # short while tracking still holds it
-        emit(POSIDONIA_FOUND, f"fraction {summary.fractions[POSIDONIA]:.3f}")
+        emit(POSIDONIA_FOUND, f"fraction {fractions[POSIDONIA]:.3f}")
         machine = commit(machine)
         align = None
         contour = meadow_boundary(mask)
@@ -439,10 +439,7 @@ def run_mission(scenario: Scenario, backend: SegmenterBackend, max_ticks: int) -
     if len(scenario.waypoints) > 1:
         wp1 = scenario.waypoints[1]
         yaw0 = math.atan2(wp1[1] - wp0[1], wp1[0] - wp0[0])
-    vehicle = VehicleState(
-        x=wp0[0], y=wp0[1], z=scenario.mission.survey_depth, yaw=yaw0,
-        u=0.0, w=0.0, r=0.0, time=0.0,
-    )
+    vehicle = VehicleState(x=wp0[0], y=wp0[1], z=scenario.mission.survey_depth, yaw=yaw0)
     machine = initial_state(scenario)
 
     rows: list[TrajectoryRow] = []
@@ -505,12 +502,11 @@ def write_mission_log(scenario: Scenario, log: MissionLog, out_dir) -> list[str]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    lines = [_TRAJ_HEADER]
-    lines += [
+    # no name holds the row text, so it is freed before the map is drawn
+    (out / "trajectory.csv").write_text("\n".join([_TRAJ_HEADER, *(
         f"{r.time:.6f},{r.x:.6f},{r.y:.6f},{r.z:.6f},{r.yaw:.6f},{r.phase},{r.event}"
         for r in log.rows
-    ]
-    (out / "trajectory.csv").write_text("\n".join(lines) + "\n")
+    )]) + "\n")
 
     ev_lines = [
         f"{e.time:.6f} {e.kind} {e.x:.6f} {e.y:.6f} {e.detail}".rstrip()

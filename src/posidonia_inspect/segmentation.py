@@ -8,7 +8,7 @@ layout as the images they label.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -25,10 +25,8 @@ __all__ = [
     "write_mask",
     "read_mask",
     "SegmenterBackend",
-    "HsvRange",
     "BaselineSegmenter",
     "majority_smooth",
-    "SegmentationSummary",
     "summarize",
     "meadow_boundary",
     "iou",
@@ -68,9 +66,6 @@ class LabelMask:
     def width(self) -> int:
         return self.data.shape[1]
 
-    def fraction(self, class_code: int) -> float:
-        return float(np.count_nonzero(self.data == class_code)) / self.data.size
-
 
 def write_mask(mask: LabelMask, path) -> None:
     """Store a mask as binary PGM with maxval 3 so codes stay exact."""
@@ -90,7 +85,6 @@ def read_mask(path) -> LabelMask:
     return LabelMask(arr[:, :, 0])
 
 
-@runtime_checkable
 class SegmenterBackend(Protocol):
     """Anything that turns a camera frame into a class mask.
 
@@ -106,44 +100,14 @@ class SegmenterBackend(Protocol):
 # Baseline HSV thresholding
 
 
-@dataclass(frozen=True)
-class HsvRange:
-    """Axis-aligned box in HSV space; hue wraps when lo > hi."""
-
-    hue_lo: float = 0.0
-    hue_hi: float = 360.0
-    sat_lo: float = 0.0
-    sat_hi: float = 1.0
-    val_lo: float = 0.0
-    val_hi: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("hue_lo", "hue_hi"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 360.0:
-                raise ValueError(f"{name} must lie in [0, 360]")
-        for lo, hi in (("sat_lo", "sat_hi"), ("val_lo", "val_hi")):
-            a, b = getattr(self, lo), getattr(self, hi)
-            if not (0.0 <= a <= b <= 1.0):
-                raise ValueError(f"need 0 <= {lo} <= {hi} <= 1")
-
-    def select(self, hue: np.ndarray, sat: np.ndarray, val: np.ndarray) -> np.ndarray:
-        if self.hue_lo <= self.hue_hi:
-            ok = (hue >= self.hue_lo) & (hue <= self.hue_hi)
-        else:
-            ok = (hue >= self.hue_lo) | (hue <= self.hue_hi)
-        ok &= (sat >= self.sat_lo) & (sat <= self.sat_hi)
-        ok &= (val >= self.val_lo) & (val <= self.val_hi)
-        return ok
-
-
-# Boxes tuned for the attenuated default palette at a few meters altitude,
-# in priority order: a pixel takes the class of the first box it falls in,
-# and everything unmatched stays sand.
+# Closed HSV boxes (hue_lo, hue_hi, sat_lo, sat_hi, val_lo, val_hi) tuned
+# for the attenuated default palette at a few meters altitude, in priority
+# order: a pixel takes the class of the first box it falls in, and
+# everything unmatched stays sand.
 _BOXES = (
-    (POSIDONIA, HsvRange(70.0, 170.0, 0.3, 1.0, 0.02, 0.35)),
-    (ROCKS, HsvRange(0.0, 360.0, 0.0, 0.25, 0.02, 0.30)),
-    (DEBRIS, HsvRange(10.0, 50.0, 0.15, 0.6, 0.15, 0.55)),
+    (POSIDONIA, (70.0, 170.0, 0.3, 1.0, 0.02, 0.35)),
+    (ROCKS, (0.0, 360.0, 0.0, 0.25, 0.02, 0.30)),
+    (DEBRIS, (10.0, 50.0, 0.15, 0.6, 0.15, 0.55)),
 )
 
 
@@ -177,12 +141,12 @@ class BaselineSegmenter:
         if img.channels != 3:
             raise ValueError("baseline segmentation needs a color image")
         hsv = to_hsv(img)
+        hue, sat, val = hsv.hue, hsv.saturation, hsv.value
         out = np.zeros((img.height, img.width), dtype=np.uint8)
-        free = np.ones_like(out, dtype=bool)
-        for code, box in _BOXES:
-            hit = box.select(hsv.hue, hsv.saturation, hsv.value) & free
-            out[hit] = code
-            free &= ~hit
+        # the last write wins, so the first box in priority order is written last
+        for code, (h0, h1, s0, s1, v0, v1) in reversed(_BOXES):
+            out[(hue >= h0) & (hue <= h1) & (sat >= s0) & (sat <= s1)
+                & (val >= v0) & (val <= v1)] = code
         return LabelMask(majority_smooth(out))
 
 
@@ -190,23 +154,9 @@ class BaselineSegmenter:
 # Frame summaries and boundary extraction
 
 
-@dataclass(frozen=True)
-class SegmentationSummary:
-    fractions: tuple[float, float, float, float]
-    has_posidonia: bool
-    has_rocks: bool
-
-
-def summarize(mask: LabelMask, min_fraction: float = 0.05) -> SegmentationSummary:
-    """Class-share snapshot of one mask; presence means share >= min_fraction."""
-    if not 0.0 <= min_fraction <= 1.0:
-        raise ValueError("min_fraction must lie in [0, 1]")
-    fractions = np.bincount(mask.data.ravel(), minlength=NUM_CLASSES) / mask.data.size
-    return SegmentationSummary(
-        fractions=tuple(float(f) for f in fractions),
-        has_posidonia=bool(fractions[POSIDONIA] >= min_fraction),
-        has_rocks=bool(fractions[ROCKS] >= min_fraction),
-    )
+def summarize(mask: LabelMask) -> np.ndarray:
+    """Share of the mask's pixels in each class, indexed by class code."""
+    return np.bincount(mask.data.ravel(), minlength=NUM_CLASSES) / mask.data.size
 
 
 def meadow_boundary(mask: LabelMask) -> Polygon | None:

@@ -43,12 +43,10 @@ class VehicleState:
     z: float = 0.0
     yaw: float = 0.0
     u: float = 0.0
-    w: float = 0.0
-    r: float = 0.0
     time: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("x", "y", "z", "yaw", "u", "w", "r", "time"):
+        for name in ("x", "y", "z", "yaw", "u", "time"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
@@ -129,7 +127,7 @@ def step(state: VehicleState, ref: GuidanceRef, config: VehicleConfig, dt: float
     x = state.x + u * math.cos(yaw) * dt
     y = state.y + u * math.sin(yaw) * dt
     z = min(max(state.z + w * dt, 0.0), config.seabed_depth)
-    return VehicleState(x=x, y=y, z=z, yaw=yaw, u=u, w=w, r=r, time=state.time + dt)
+    return VehicleState(x=x, y=y, z=z, yaw=yaw, u=u, time=state.time + dt)
 
 
 def waypoint_guidance(

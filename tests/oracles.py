@@ -6,8 +6,9 @@ membership, flood-fill boundary sets, and set-based IoU counting.  The
 rendering references keep the straightforward per-frame formulas (fancy-index
 class lookup, per-pixel noise, last-axis reductions and broadcasting) that the
 library computes with cheaper array shapes; they must agree byte for byte.
-The majority-vote and contour references are the library's earlier kernels,
-kept as they were so the faster ones can be compared with them bytewise.
+The majority-vote, contour and box-classification references are the
+library's earlier kernels, kept as they were so the faster ones can be
+compared with them bytewise.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from scipy import ndimage
 from posidonia_inspect.camera import pixel_grid_world
 from posidonia_inspect.geometry import Polygon, polygon_area
 from posidonia_inspect.imaging import Raster, add_speckle
-from posidonia_inspect.segmentation import NUM_CLASSES
+from posidonia_inspect.segmentation import _BOXES, NUM_CLASSES
 from posidonia_inspect.world import _cell_noise, _pose_seed
 
 
@@ -62,20 +63,21 @@ def winding_inside(point, vertices, include_boundary: bool = True) -> bool:
     px, py = float(point[0]), float(point[1])
     verts = np.asarray(vertices, dtype=np.float64)
     n = verts.shape[0]
+    # the library's on-edge rule: within 1e-9 * max(1, |ring coords|, |point|)
+    tol = 1e-9 * max(1.0, float(np.abs(verts).max()), abs(px), abs(py))
     total = 0.0
     for i in range(n):
         ax, ay = verts[i] - (px, py)
         bx, by = verts[(i + 1) % n] - (px, py)
-        if _on_segment(px, py, verts[i], verts[(i + 1) % n]):
+        if _on_segment(px, py, verts[i], verts[(i + 1) % n], tol):
             return include_boundary
         total += math.atan2(ax * by - ay * bx, ax * bx + ay * by)
     return abs(total) > math.pi  # ~2*pi inside, ~0 outside
 
 
-def _on_segment(px, py, a, b, tol=1e-9) -> bool:
+def _on_segment(px, py, a, b, tol: float) -> bool:
     ax, ay = a
     bx, by = b
-    scale = max(1.0, abs(ax), abs(ay), abs(bx), abs(by), abs(px), abs(py))
     dx, dy = bx - ax, by - ay
     len2 = dx * dx + dy * dy
     if len2 == 0.0:
@@ -83,7 +85,7 @@ def _on_segment(px, py, a, b, tol=1e-9) -> bool:
     else:
         t = min(1.0, max(0.0, ((px - ax) * dx + (py - ay) * dy) / len2))
     cx, cy = ax + t * dx, ay + t * dy
-    return (px - cx) ** 2 + (py - cy) ** 2 <= (tol * scale) ** 2
+    return (px - cx) ** 2 + (py - cy) ** 2 <= tol ** 2
 
 
 def outer_boundary_pixels(mask: np.ndarray) -> set[tuple[int, int]]:
@@ -201,6 +203,26 @@ def reference_hsv(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     hue[m_g] = 60.0 * ((b[m_g] - r[m_g]) / delta[m_g] + 2.0)
     hue[m_b] = 60.0 * ((r[m_b] - g[m_b]) / delta[m_b] + 4.0)
     return np.mod(hue, 360.0), sat, cmax
+
+
+def reference_box_classes(rgb: np.ndarray) -> np.ndarray:
+    """Unsmoothed baseline classes, box by box in priority order: each box
+    selects only pixels no earlier box took, a box whose hue_lo exceeds its
+    hue_hi wraps through 0, and pixels no box takes stay sand (0)."""
+    hue, sat, val = reference_hsv(rgb)
+    out = np.zeros(hue.shape, dtype=np.uint8)
+    free = np.ones(hue.shape, dtype=bool)
+    for code, (h0, h1, s0, s1, v0, v1) in _BOXES:
+        if h0 <= h1:
+            ok = (hue >= h0) & (hue <= h1)
+        else:
+            ok = (hue >= h0) | (hue <= h1)
+        ok &= (sat >= s0) & (sat <= s1)
+        ok &= (val >= v0) & (val <= v1)
+        hit = ok & free
+        out[hit] = code
+        free &= ~hit
+    return out
 
 
 def reference_render(scenario, x, y, yaw, altitude) -> tuple[np.ndarray, np.ndarray]:

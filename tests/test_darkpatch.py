@@ -89,7 +89,7 @@ class TestDetect:
         paint_disk(data, 160, 40, 8, 0.05)
         paint_disk(data, 40, 160, 16, 0.05)
         report = detect_dark_patches(Raster(data))
-        assert [p.id for p in report.patches] == [1, 2]
+        assert [line.split()[1] for line in report_lines(report)] == ["1", "2"]
         assert report.patches[0].area_px > report.patches[1].area_px
         assert report.patches[0].centroid[0] == pytest.approx(40.0, abs=0.5)
 
@@ -163,7 +163,7 @@ class TestDetect:
 
         monkeypatch.setattr(darkpatch, "label_components", unreachable)
         report = detect_dark_patches(Raster(sand), cfg, vehicle_depth=3.0)
-        assert report == full == darkpatch.DarkPatchReport((), 0, *cfg.thresholds(3.0))
+        assert report == full == darkpatch.DarkPatchReport((), 0)
 
     def test_deterministic(self):
         data = paint_disk(scene(), 40, 30, 12, 0.05)

@@ -248,5 +248,5 @@ class TestEnhance:
 
     def test_gray_supported(self):
         img = Raster(np.linspace(0.0, 1.0, 64).reshape(8, 8, 1))
-        out = enhance_for_rocks(img)
+        out = enhance_for_rocks(img, 1.5)
         assert out.data.shape == (8, 8, 1)

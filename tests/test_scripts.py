@@ -1,6 +1,7 @@
 """The scripts run end to end from a checkout: the examples write their files,
 and bench_pair times the working tree against a git ref."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -55,7 +56,7 @@ def test_bench_pair_reports_both_sides():
     assert result.returncode == 0, result.stderr
     table = result.stdout.split("ring-track seed 0: 1 parent (HEAD) and 1 change runs")[1]
     for metric in ("mission_s", "ticks_per_s", "setup_s", "peak_rss_mb"):
-        assert re.search(rf"^{metric} .* of 1$", table, re.MULTILINE), table
+        assert re.search(rf"^{metric} .* of 1  (ok|worse|unresolved)$", table, re.MULTILINE), table
 
 
 @pytest.mark.skipif(not git_checkout(), reason="needs a git checkout with a commit")
@@ -63,3 +64,21 @@ def test_bench_pair_rejects_an_unknown_ref():
     result = run_script("bench_pair.py", "--ref", "no-such-ref", "--pairs", "1")
     assert result.returncode == 2
     assert "cannot unpack 'no-such-ref'" in result.stderr
+
+
+def bench_pair_module():
+    spec = importlib.util.spec_from_file_location("bench_pair", ROOT / "scripts" / "bench_pair.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("parent, change, better, want", [
+    ([1.0, 1.0, 1.0, 1.0], [1.1, 1.2, 1.2, 1.3], "lower", "ok"),
+    ([1.0, 1.0, 1.0, 1.0], [1.2, 1.3, 1.3, 1.4], "lower", "worse"),
+    ([10.0, 10.0, 10.0, 10.0], [6.0, 7.0, 7.0, 8.0], "higher", "worse"),
+    ([0.5, 1.0, 1.0, 1.5], [0.9, 1.0, 1.0, 1.1], "lower", "unresolved"),
+    ([0.6, 1.0, 1.0, 1.5], [0.3, 0.4, 0.4, 0.5], "lower", "ok"),
+])
+def test_bench_pair_verdict_applies_the_bound(parent, change, better, want):
+    assert bench_pair_module().verdict(parent, change, better, 0.25) == want

@@ -63,20 +63,19 @@ class TestStep:
         s = VehicleState(yaw=0.0)
         ref = GuidanceRef(target_depth=0.0, target_surge=0.0, target_yaw=math.pi)
         s1 = step(s, ref, CFG, 0.5)
-        assert s1.r == pytest.approx(CFG.max_yaw_rate)
+        assert (s1.yaw - s.yaw) / 0.5 == pytest.approx(CFG.max_yaw_rate)
 
     def test_yaw_wraps_shortest_way(self):
         s = VehicleState(yaw=math.pi - 0.05)
         ref = GuidanceRef(target_depth=0.0, target_surge=0.0, target_yaw=-math.pi + 0.05)
         s1 = step(s, ref, CFG, 0.5)
-        assert s1.r > 0.0  # crossing through pi, not swinging back
+        assert wrap_angle(s1.yaw - s.yaw) > 0.0  # crossing through pi, not swinging back
 
     def test_depth_approach_and_clamp(self):
         s = VehicleState(z=0.0)
         ref = GuidanceRef(target_depth=10.0, target_surge=0.0, target_yaw=0.0)
         s1 = step(s, ref, CFG, 0.5)
-        assert s1.w == pytest.approx(CFG.max_heave)
-        assert s1.z == pytest.approx(CFG.max_heave * 0.5)
+        assert (s1.z - s.z) / 0.5 == pytest.approx(CFG.max_heave)
         deep = VehicleState(z=CFG.seabed_depth - 0.01)
         s2 = step(deep, GuidanceRef(target_depth=40.0, target_surge=0.0, target_yaw=0.0), CFG, 0.5)
         assert s2.z == CFG.seabed_depth

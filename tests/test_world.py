@@ -233,7 +233,7 @@ class TestRender:
         frame = Frame(np.full((96, 128, 3), 0.5), 1.0, 2.0, 0.3, 4.0)
         turbid = WATER_PRESETS["turbid"]  # 5 dots at 128 x 96
         for out in (attenuate(frame, turbid, 4.0), add_speckle(frame, turbid, 7),
-                    gamma_correct(frame)):
+                    gamma_correct(frame, 1.5)):
             assert isinstance(out, Frame)
             assert (out.x, out.y, out.yaw, out.altitude) == (1.0, 2.0, 0.3, 4.0)
             assert not np.array_equal(out.data, frame.data)
