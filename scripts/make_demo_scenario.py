@@ -14,20 +14,8 @@ import argparse
 from pathlib import Path
 
 from posidonia_inspect.imaging import write_pnm
-from posidonia_inspect.presets import (
-    blocks_scenario,
-    empty_scenario,
-    five_patch_scenario,
-    ring_meadow_scenario,
-)
+from posidonia_inspect.presets import SCENARIO_PRESETS
 from posidonia_inspect.world import render, save_scenario
-
-PRESETS = {
-    "five_patch": five_patch_scenario,
-    "ring_meadow": ring_meadow_scenario,
-    "blocks": blocks_scenario,
-    "empty": empty_scenario,
-}
 
 
 def main() -> int:
@@ -39,7 +27,8 @@ def main() -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for name, factory in PRESETS.items():
+    for preset, factory in SCENARIO_PRESETS.items():
+        name = preset.replace("-", "_")
         scenario = factory()
         save_scenario(scenario, out / f"{name}.scn")
         x, y = scenario.waypoints[0]

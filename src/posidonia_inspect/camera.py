@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rules import integer, number, numbers
+
 __all__ = [
     "CameraModel",
     "pixel_to_local",
@@ -37,16 +39,9 @@ class CameraModel:
     height: int = 96
 
     def __post_init__(self) -> None:
-        for name in ("hfov_deg", "vfov_deg"):
-            fov = getattr(self, name)
-            if not (isinstance(fov, (int, float)) and math.isfinite(fov)):
-                raise ValueError(f"{name} must be a finite number")
-            if not 0.0 < fov < 180.0:
-                raise ValueError(f"{name} must lie in (0, 180) degrees")
-        for name in ("width", "height"):
-            dim = getattr(self, name)
-            if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-                raise ValueError(f"{name} must be a positive integer")
+        numbers(self, ("hfov_deg", "vfov_deg"), 0, 180, lo_open=True, hi_open=True)
+        integer("width", self.width, 1)
+        integer("height", self.height, 1)
 
     @property
     def tan_half_h(self) -> float:
@@ -57,21 +52,13 @@ class CameraModel:
         return math.tan(math.radians(self.vfov_deg) / 2.0)
 
 
-def _check_altitude(altitude: float) -> float:
-    alt = float(altitude)
-    if not math.isfinite(alt) or alt <= 0.0:
-        raise ValueError("altitude must be positive and finite")
-    return alt
-
-
 def _centre_offsets(camera: CameraModel, col, row):
     # pixel centres as (forward, right) fractions of the footprint, in [-0.5, 0.5]
     return 0.5 - (row + 0.5) / camera.height, (col + 0.5) / camera.width - 0.5
 
 
-def _to_local(camera: CameraModel, forward_u, right_u, altitude: float):
+def _to_local(camera: CameraModel, forward_u, right_u, alt: float):
     # footprint fractions to (forward, right) ground offsets
-    alt = _check_altitude(altitude)
     return forward_u * 2.0 * alt * camera.tan_half_v, right_u * 2.0 * alt * camera.tan_half_h
 
 
@@ -82,6 +69,7 @@ def pixel_to_local(
 
     Accepts scalars or arrays; returns matching float arrays or floats.
     """
+    number("altitude", altitude, 0, lo_open=True)
     offsets = _centre_offsets(camera, np.asarray(col, dtype=float), np.asarray(row, dtype=float))
     forward, right = _to_local(camera, *offsets, altitude)
     if np.isscalar(col) and np.isscalar(row):
@@ -142,6 +130,8 @@ def pixel_grid_world(
     camera: CameraModel, x: float, y: float, yaw: float, altitude: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """World coordinates of every pixel center as two (H, W) arrays."""
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(yaw)):
-        raise ValueError("pose x, y and yaw must be finite")
-    return local_to_world(x, y, yaw, *_local_grid(camera, _check_altitude(altitude)))
+    number("x", x)
+    number("y", y)
+    number("yaw", yaw)
+    number("altitude", altitude, 0, lo_open=True)
+    return local_to_world(x, y, yaw, *_local_grid(camera, altitude))

@@ -30,24 +30,11 @@ from .dataset import (
 )
 from .imaging import read_pnm, write_pnm
 from .mission import run_mission, write_mission_log
-from .presets import (
-    blocks_scenario,
-    empty_scenario,
-    five_patch_scenario,
-    gen_lawnmower,
-    ring_meadow_scenario,
-)
+from .presets import SCENARIO_PRESETS, gen_lawnmower
 from .segmentation import NUM_CLASSES, BaselineSegmenter, mean_iou, read_mask, write_mask
 from .world import OracleSegmenter, Scenario, load_scenario, render
 
 log = logging.getLogger("posinspect")
-
-SCENARIO_PRESETS = {
-    "five-patch": five_patch_scenario,
-    "ring-meadow": ring_meadow_scenario,
-    "blocks": blocks_scenario,
-    "empty": empty_scenario,
-}
 
 
 class CommandError(Exception):

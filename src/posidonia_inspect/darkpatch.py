@@ -9,12 +9,12 @@ as a count so the caller can avoid re-announcing what it is flying over.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
+from ._rules import integer, number, numbers
 from .geometry import label_components
 from .imaging import Raster, value_channel
 
@@ -37,21 +37,17 @@ class DetectorConfig:
     center_exclusion_fraction: float = 0.1
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.dark_threshold_base < self.white_threshold_base <= 1.0:
-            raise ValueError("need 0 < dark_threshold_base < white_threshold_base <= 1")
-        if not math.isfinite(self.threshold_depth_gain):
-            raise ValueError("threshold_depth_gain must be finite")
-        area = self.min_patch_area
-        if not isinstance(area, int) or isinstance(area, bool) or area < 1:
-            raise ValueError("min_patch_area must be a positive integer")
-        if not 0.0 <= self.center_exclusion_fraction <= 0.5:
-            raise ValueError("center_exclusion_fraction must lie in [0, 0.5]")
+        numbers(self, ("white_threshold_base", "dark_threshold_base"), 0, 1, lo_open=True)
+        if self.dark_threshold_base >= self.white_threshold_base:
+            raise ValueError("dark_threshold_base must be below white_threshold_base")
+        number("threshold_depth_gain", self.threshold_depth_gain)
+        integer("min_patch_area", self.min_patch_area, 1)
+        number("center_exclusion_fraction", self.center_exclusion_fraction, 0, 0.5)
 
     def thresholds(self, vehicle_depth: float) -> tuple[float, float]:
         """(dark, white) thresholds adjusted for depth."""
-        if not math.isfinite(vehicle_depth):
-            raise ValueError(f"vehicle depth must be finite, got {vehicle_depth}")
-        shift = self.threshold_depth_gain * float(vehicle_depth)
+        number("vehicle_depth", vehicle_depth)
+        shift = self.threshold_depth_gain * vehicle_depth
         dark = min(1.0, max(0.0, self.dark_threshold_base + shift))
         white = min(1.0, max(0.0, self.white_threshold_base + shift))
         return dark, white

@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._rules import integer, numbers
 from .imaging import Raster, equalize_histogram, gamma_correct
 from .segmentation import NUM_CLASSES, LabelMask
 
@@ -50,9 +51,7 @@ class AnnotatedRegion:
             raise ValueError("region needs at least 3 [x, y] points")
         if not np.isfinite(pts).all():
             raise ValueError("region points must be finite")
-        code = self.class_code
-        if not isinstance(code, int) or isinstance(code, bool) or not 0 <= code < NUM_CLASSES:
-            raise ValueError(f"class must be an integer in [0, {NUM_CLASSES - 1}]")
+        integer("class_code", self.class_code, 0, NUM_CLASSES)
         pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -69,10 +68,8 @@ class ImageAnnotation:
         name = self.image
         if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
             raise ValueError(f"annotation 'image' must be a plain file name, got {name!r}")
-        if any(not isinstance(d, int) or isinstance(d, bool) for d in (self.width, self.height)):
-            raise ValueError(f"annotation {self.image}: width/height must be integers")
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"annotation {self.image}: image dimensions must be positive")
+        integer(f"annotation {name}: width", self.width, 1)
+        integer(f"annotation {name}: height", self.height, 1)
         for i, region in enumerate(self.regions):
             pts = region.points
             ok_x = (pts[:, 0] >= 0.0) & (pts[:, 0] <= self.width)
@@ -152,13 +149,10 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.train_fraction <= 1.0 and 0.0 <= self.val_fraction <= 1.0):
-            raise ValueError("split fractions must lie in [0, 1]")
+        numbers(self, ("train_fraction", "val_fraction"), 0, 1)
         if self.train_fraction + self.val_fraction > 1.0:
             raise ValueError("train and val fractions must not exceed 1 combined")
-        seed = self.seed
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        integer("seed", self.seed, 0)
 
 
 def split_sizes(n: int, spec: SplitSpec) -> tuple[int, int, int]:
@@ -231,12 +225,6 @@ def _apply_ops(arr: np.ndarray, ops, nearest: bool) -> np.ndarray:
             if args:
                 raise ValueError("flip_v takes no arguments")
             out = out[::-1, :]
-        elif name == "scale":
-            if len(args) != 1 or not (isinstance(args[0], (int, float)) and args[0] > 0):
-                raise ValueError("scale takes one positive factor")
-            h = max(1, round(out.shape[0] * args[0]))
-            w = max(1, round(out.shape[1] * args[0]))
-            out = _resize(out, h, w, nearest)
         elif name == "zoom_crop":
             if len(args) != 1 or not (isinstance(args[0], (int, float)) and 0 < args[0] <= 1):
                 raise ValueError("zoom_crop takes one fraction in (0, 1]")

@@ -12,13 +12,14 @@ and hole rings clockwise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
 from scipy.spatial import Delaunay, QhullError
+
+from ._rules import number
 
 __all__ = [
     "DegenerateInputError",
@@ -212,8 +213,7 @@ def alpha_shape(points, alpha: float) -> list[Polygon]:
     clockwise.  May return several disjoint rings, or none when alpha is
     smaller than every circumradius.
     """
-    if not (alpha > 0.0) or not math.isfinite(alpha):
-        raise ValueError("alpha must be a positive finite number")
+    number("alpha", alpha, 0, lo_open=True)
     pts = _as_points(points)
     pts = np.unique(pts, axis=0)
     if pts.shape[0] < 3:
@@ -330,8 +330,7 @@ class ExploredMap:
     committed_regions: tuple[Polygon, ...] = ()
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 0.0) or not math.isfinite(self.alpha):
-            raise ValueError("alpha must be a positive finite number")
+        number("alpha", self.alpha, 0, lo_open=True)
 
     @cached_property
     def alpha_rings(self) -> tuple[Polygon, ...]:

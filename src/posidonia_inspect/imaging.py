@@ -10,14 +10,14 @@ its extra fields.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._rules import integer, number, vector
+
 __all__ = [
     "Raster",
-    "HsvRaster",
     "WaterModel",
     "WATER_PRESETS",
     "value_channel",
@@ -41,18 +41,13 @@ class Raster:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim == 2:
-            arr = arr[:, :, np.newaxis]
         if arr.ndim != 3 or arr.shape[2] not in (1, 3):
             raise ValueError(f"raster must be (H, W, 1|3), got shape {np.shape(self.data)}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("raster must have positive width and height")
         # a NaN makes both extremes NaN, so two scalars stand for every pixel
-        lo, hi = float(arr.min()), float(arr.max())
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("raster intensities must be finite")
-        if lo < 0.0 or hi > 1.0:
-            raise ValueError("raster intensities must lie in [0, 1]")
+        number("raster minimum", float(arr.min()), 0, 1)
+        number("raster maximum", float(arr.max()), 0, 1)
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)  # purity: rasters are immutable once built
         object.__setattr__(self, "data", arr)
@@ -71,40 +66,6 @@ class Raster:
 
 
 @dataclass(frozen=True)
-class HsvRaster:
-    """Per-pixel hue (degrees, [0, 360)), saturation and value, each (H, W)."""
-
-    hue: np.ndarray
-    saturation: np.ndarray
-    value: np.ndarray
-
-    def __post_init__(self) -> None:
-        h = np.asarray(self.hue, dtype=np.float64)
-        s = np.asarray(self.saturation, dtype=np.float64)
-        v = np.asarray(self.value, dtype=np.float64)
-        if not (h.shape == s.shape == v.shape) or h.ndim != 2:
-            raise ValueError("hue/saturation/value must share one (H, W) shape")
-        # written so that a NaN, which fails every comparison, fails the test
-        if not (0.0 <= h.min() and h.max() < 360.0):
-            raise ValueError("hue must lie in [0, 360)")
-        if not (0.0 <= s.min() and s.max() <= 1.0 and 0.0 <= v.min() and v.max() <= 1.0):
-            raise ValueError("saturation and value must lie in [0, 1]")
-        for name, arr in (("hue", h), ("saturation", s), ("value", v)):
-            arr = np.ascontiguousarray(arr)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-def _triplet(value, name: str) -> tuple[float, float, float]:
-    if np.isscalar(value):
-        value = (float(value),) * 3
-    t = tuple(float(v) for v in value)
-    if len(t) != 3:
-        raise ValueError(f"{name} must be a scalar or length-3 sequence")
-    return t  # type: ignore[return-value]
-
-
-@dataclass(frozen=True)
 class WaterModel:
     """Optical water column: per-channel attenuation and veil, plus speckle.
 
@@ -119,19 +80,11 @@ class WaterModel:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        att = _triplet(self.attenuation, "attenuation")
-        veil = _triplet(self.backscatter_veil, "backscatter_veil")
-        if any(not (math.isfinite(c) and c >= 0) for c in att):
-            raise ValueError("attenuation coefficients must be finite and >= 0")
-        if any(not (0.0 <= v <= 1.0) for v in veil):
-            raise ValueError("backscatter_veil must lie in [0, 1]")
-        if not (math.isfinite(self.speckle_density) and self.speckle_density >= 0):
-            raise ValueError("speckle_density must be finite and >= 0")
-        if not (0.0 <= self.speckle_intensity <= 1.0):
-            raise ValueError("speckle_intensity must lie in [0, 1]")
-        seed = self.rng_seed
-        if not isinstance(seed, int) or isinstance(seed, bool) or not -(2**63) <= seed < 2**63:
-            raise ValueError("rng_seed must be an integer in the int64 range")
+        att = vector("attenuation", self.attenuation, 3, 0)
+        veil = vector("backscatter_veil", self.backscatter_veil, 3, 0, 1)
+        number("speckle_density", self.speckle_density, 0)
+        number("speckle_intensity", self.speckle_intensity, 0, 1)
+        integer("rng_seed", self.rng_seed, -(2**63), 2**63)
         object.__setattr__(self, "attenuation", att)
         object.__setattr__(self, "backscatter_veil", veil)
 
@@ -152,11 +105,12 @@ def value_channel(data: np.ndarray) -> np.ndarray:
     return np.maximum(np.maximum(data[:, :, 0], data[:, :, 1]), data[:, :, 2])
 
 
-def to_hsv(img: Raster) -> HsvRaster:
-    """Convert an RGB raster to HSV.
+def to_hsv(img: Raster) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Convert an RGB raster to (hue, saturation, value), each (H, W).
 
     value = max(r, g, b); saturation = (max - min) / max with 0/0 -> 0;
-    hue follows the usual piecewise formula, 0 for achromatic pixels.
+    hue, in degrees in [0, 360), follows the usual piecewise formula, 0 for
+    achromatic pixels.
     """
     if img.channels != 3:
         raise ValueError("to_hsv requires a 3-channel raster")
@@ -177,17 +131,15 @@ def to_hsv(img: Raster) -> HsvRaster:
     hue[m_g] = 60.0 * ((b[m_g] - r[m_g]) / delta[m_g] + 2.0)
     hue[m_b] = 60.0 * ((r[m_b] - g[m_b]) / delta[m_b] + 4.0)
     hue = np.mod(hue, 360.0)
-    return HsvRaster(hue=hue, saturation=sat, value=cmax)
+    return hue, sat, cmax
 
 
-def hsv_to_rgb(hsv: HsvRaster) -> Raster:
+def hsv_to_rgb(hue: np.ndarray, sat: np.ndarray, val: np.ndarray) -> Raster:
     """Inverse of to_hsv (exact up to float rounding)."""
-    h = hsv.hue / 60.0
-    s = hsv.saturation
-    v = hsv.value
-    c = v * s
+    h = hue / 60.0
+    c = val * sat
     x = c * (1.0 - np.abs(np.mod(h, 2.0) - 1.0))
-    m = v - c
+    m = val - c
     zeros = np.zeros_like(h)
     sector = np.floor(h).astype(int) % 6
     r = np.choose(sector, [c, x, zeros, zeros, x, c])
@@ -220,15 +172,13 @@ def equalize_histogram(img: Raster) -> Raster:
     if img.channels == 1:
         out = _equalize_channel(img.data[:, :, 0])
         return Raster(out[:, :, np.newaxis])
-    hsv = to_hsv(img)
-    value = _equalize_channel(hsv.value)
-    return hsv_to_rgb(HsvRaster(hue=hsv.hue, saturation=hsv.saturation, value=value))
+    hue, sat, val = to_hsv(img)
+    return hsv_to_rgb(hue, sat, _equalize_channel(val))
 
 
 def gamma_correct(img: Raster, gamma: float) -> Raster:
     """Power-law correction out = in ** gamma. gamma must be > 0."""
-    if not (gamma > 0.0) or not math.isfinite(gamma):
-        raise ValueError("gamma must be a positive finite number")
+    number("gamma", gamma, 0, lo_open=True)
     return replace(img, data=np.power(img.data, gamma))
 
 
@@ -241,8 +191,7 @@ def water_factors(
     the path, so paths whose factors are bitwise equal attenuate alike.
     Gray (1-channel) factors use the channel-mean coefficient and veil.
     """
-    if path_length < 0 or not math.isfinite(path_length):
-        raise ValueError("path_length must be finite and >= 0")
+    number("path_length", path_length, 0)
     att = np.asarray(water.attenuation, dtype=np.float64)
     veil = np.asarray(water.backscatter_veil, dtype=np.float64)
     if channels == 1:

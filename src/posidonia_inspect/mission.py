@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._rules import integer
 from .camera import CameraModel, pixel_to_world
 from .darkpatch import detect_dark_patches
 from .geometry import ExploredMap, Polygon, explored_covers, format_ring, record_exploration
@@ -431,8 +432,7 @@ def run_tick(
 
 def run_mission(scenario: Scenario, backend: SegmenterBackend, max_ticks: int) -> MissionLog:
     """Drive render -> run_tick -> step until COMPLETE or the tick budget ends."""
-    if max_ticks < 1:
-        raise ValueError("max_ticks must be positive")
+    integer("max_ticks", max_ticks, 1)
 
     wp0 = scenario.waypoints[0]
     yaw0 = 0.0

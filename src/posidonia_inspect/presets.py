@@ -9,16 +9,16 @@ and detector settings so runs differ only in what is on the floor.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+from ._rules import number, vector
 from .imaging import WATER_PRESETS
 from .segmentation import DEBRIS, POSIDONIA, ROCKS, LabelMask
 from .world import MissionConfig, Scenario, SeafloorConfig
 
 __all__ = [
     "MAX_SURVEY_LINES",
+    "SCENARIO_PRESETS",
     "gen_lawnmower",
     "make_floor",
     "paint_disk",
@@ -43,13 +43,10 @@ def gen_lawnmower(
     Bounds must be finite, and they and the spacing may give at most
     MAX_SURVEY_LINES lines.
     """
-    x0, y0, x1, y1 = (float(v) for v in bounds)
-    if not all(math.isfinite(v) for v in (x0, y0, x1, y1)):
-        raise ValueError("bounds must be finite")
+    x0, y0, x1, y1 = vector("bounds", bounds, 4)
     if not (x1 > x0 and y1 >= y0):
         raise ValueError("bounds must satisfy x1 > x0 and y1 >= y0")
-    if not (math.isfinite(spacing) and spacing > 0.0):
-        raise ValueError("spacing must be positive")
+    number("spacing", spacing, 0, lo_open=True)
     lines = (y1 + 1e-9 - y0) / spacing
     if not lines <= MAX_SURVEY_LINES:
         raise ValueError(
@@ -197,3 +194,12 @@ def empty_scenario() -> Scenario:
         mission=MissionConfig(seed=4),
         waypoints=gen_lawnmower((15.0, 30.0, 85.0, 70.0), 40.0),
     )
+
+
+# every built-in scenario by the name the CLI takes
+SCENARIO_PRESETS = {
+    "five-patch": five_patch_scenario,
+    "ring-meadow": ring_meadow_scenario,
+    "blocks": blocks_scenario,
+    "empty": empty_scenario,
+}

@@ -140,8 +140,7 @@ class BaselineSegmenter:
     def segment(self, img: Raster) -> LabelMask:
         if img.channels != 3:
             raise ValueError("baseline segmentation needs a color image")
-        hsv = to_hsv(img)
-        hue, sat, val = hsv.hue, hsv.saturation, hsv.value
+        hue, sat, val = to_hsv(img)
         out = np.zeros((img.height, img.width), dtype=np.uint8)
         # the last write wins, so the first box in priority order is written last
         for code, (h0, h1, s0, s1, v0, v1) in reversed(_BOXES):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rules import integer, number, numbers
 from .camera import CameraModel
 from .geometry import Polygon
 
@@ -46,9 +47,7 @@ class VehicleState:
     time: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("x", "y", "z", "yaw", "u", "time"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        numbers(self, ("x", "y", "z", "yaw", "u", "time"))
 
 
 @dataclass(frozen=True)
@@ -63,12 +62,9 @@ class GuidanceRef:
     def __post_init__(self) -> None:
         if (self.target_yaw is None) == (self.target_yaw_rate is None):
             raise ValueError("set exactly one of target_yaw or target_yaw_rate")
-        for name in ("target_depth", "target_surge", "target_yaw", "target_yaw_rate"):
-            v = getattr(self, name)
-            if v is not None and not math.isfinite(v):
-                raise ValueError(f"{name} must be finite")
-        if self.target_depth < 0.0:
-            raise ValueError("target_depth must be non-negative")
+        yaw_field = "target_yaw" if self.target_yaw_rate is None else "target_yaw_rate"
+        numbers(self, ("target_surge", yaw_field))
+        number("target_depth", self.target_depth, 0)
 
 
 @dataclass(frozen=True)
@@ -85,7 +81,7 @@ class VehicleConfig:
     seabed_depth: float = 15.0
 
     def __post_init__(self) -> None:
-        for name in (
+        numbers(self, (
             "max_surge",
             "max_heave",
             "max_yaw_rate",
@@ -96,18 +92,14 @@ class VehicleConfig:
             "arrival_radius",
             "arrival_depth_tol",
             "seabed_depth",
-        ):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be a positive number")
+        ), 0, lo_open=True)
         if self.cruise_speed > self.max_surge:
             raise ValueError("cruise_speed cannot exceed max_surge")
 
 
 def step(state: VehicleState, ref: GuidanceRef, config: VehicleConfig, dt: float) -> VehicleState:
     """Advance one control tick: limited velocity updates, then Euler."""
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError("dt must be positive")
+    number("dt", dt, 0, lo_open=True)
 
     surge_cmd = min(max(ref.target_surge, 0.0), config.max_surge)
     du = surge_cmd - state.u
@@ -162,19 +154,12 @@ class TrackingConfig:
     min_band_points: int = 2
 
     def __post_init__(self) -> None:
-        for name in ("k_tangent", "k_offset", "track_speed"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be finite and positive")
-        if not 0.0 < self.band_fraction <= 0.5:
-            raise ValueError("band_fraction must lie in (0, 0.5]")
-        if not (math.isfinite(self.border_margin) and self.border_margin >= 0.0):
-            raise ValueError("border_margin must be finite and non-negative")
+        numbers(self, ("k_tangent", "k_offset", "track_speed"), 0, lo_open=True)
+        number("band_fraction", self.band_fraction, 0, 0.5, lo_open=True)
+        number("border_margin", self.border_margin, 0)
         if self.meadow_side not in ("left", "right"):
             raise ValueError("meadow_side must be 'left' or 'right'")
-        n = self.min_band_points
-        if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-            raise ValueError("min_band_points must be an integer of at least 2")
+        integer("min_band_points", self.min_band_points, 2)
 
 
 def interior_vertices(boundary: Polygon, camera: CameraModel, margin: float) -> np.ndarray:

@@ -26,7 +26,6 @@ taken from, so consumers never need the pose passed beside it.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import struct
 from dataclasses import dataclass, fields, replace
@@ -34,6 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._rules import integer, number, numbers, vector
 from .camera import CameraModel, pixel_grid_world
 from .darkpatch import DetectorConfig
 from .imaging import WATER_PRESETS, Raster, WaterModel, add_speckle, attenuate, water_factors
@@ -75,20 +75,13 @@ class SeafloorConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.label_map, LabelMask):
             raise ValueError("label_map must be a LabelMask")
-        if not (math.isfinite(self.resolution) and self.resolution > 0.0):
-            raise ValueError("resolution must be positive")
-        origin = tuple(float(v) for v in self.origin)
-        if len(origin) != 2 or not all(math.isfinite(v) for v in origin):
-            raise ValueError("origin must be two finite numbers")
-        if not (math.isfinite(self.seabed_depth) and self.seabed_depth > 0.0):
-            raise ValueError("seabed_depth must be positive")
-        colors = tuple(tuple(float(c) for c in rgb) for rgb in self.colors)
-        if len(colors) != NUM_CLASSES or any(len(rgb) != 3 for rgb in colors):
+        numbers(self, ("resolution", "seabed_depth"), 0, lo_open=True)
+        origin = vector("origin", self.origin, 2)
+        colors = tuple(self.colors)
+        if len(colors) != NUM_CLASSES:
             raise ValueError(f"colors must be {NUM_CLASSES} RGB triples")
-        if any(not 0.0 <= c <= 1.0 for rgb in colors for c in rgb):
-            raise ValueError("color channels must lie in [0, 1]")
-        if not 0.0 <= self.noise_amplitude <= 0.5:
-            raise ValueError("noise_amplitude must lie in [0, 0.5]")
+        colors = tuple(vector(f"colors[{i}]", rgb, 3, 0, 1) for i, rgb in enumerate(colors))
+        number("noise_amplitude", self.noise_amplitude, 0, 0.5)
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "colors", colors)
 
@@ -120,33 +113,20 @@ class MissionConfig:
     announce_expiry_ticks: int = 40
 
     def __post_init__(self) -> None:
-        for name in ("seed", "inspect_frames", "boundary_lost_limit", "trajectory_stride", "announce_expiry_ticks"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValueError(f"{name} must be an integer")
-        if not 0 <= self.seed < 2**63:  # render packs it as an int64
-            raise ValueError("seed must lie in [0, 2**63)")
+        integer("seed", self.seed, 0, 2**63)  # render packs it as an int64
         for name in ("inspect_frames", "boundary_lost_limit", "trajectory_stride", "announce_expiry_ticks"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        for name in (
+            integer(name, getattr(self, name), 1)
+        numbers(self, (
             "inspect_altitude",
             "loop_close_radius",
             "min_track_path",
-            "tick_dt",
             "explored_alpha",
             "cover_radius",
             "announce_match_radius",
-        ):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be a positive number")
-        if not (math.isfinite(self.survey_depth) and self.survey_depth >= 0.0):
-            raise ValueError("survey_depth must be non-negative")
-        if not 0.0 <= self.presence_min_fraction <= 1.0:
-            raise ValueError("presence_min_fraction must lie in [0, 1]")
-        if self.tick_dt > 1.0:
-            raise ValueError("tick_dt must lie in (0, 1]")
+        ), 0, lo_open=True)
+        number("tick_dt", self.tick_dt, 0, 1, lo_open=True)
+        number("survey_depth", self.survey_depth, 0)
+        number("presence_min_fraction", self.presence_min_fraction, 0, 1)
         if self.min_track_path <= self.loop_close_radius:
             raise ValueError("min_track_path must exceed loop_close_radius")
 
@@ -580,6 +560,9 @@ def save_scenario(scenario: Scenario, path) -> None:
     base = os.path.dirname(os.path.abspath(path))
     stem = os.path.splitext(os.path.basename(path))[0]
     map_name = f"{stem}_map.pgm"
+    # the parser cuts a line at '#', splits lines and strips each value
+    if "#" in map_name or map_name.splitlines() != [map_name.strip()]:
+        raise ValueError(f"a scenario file cannot name the map {map_name!r}; rename {path}")
     write_mask(scenario.seafloor.label_map, os.path.join(base, map_name))
 
     lines = ["# scenario file (generated)"]

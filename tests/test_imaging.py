@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from posidonia_inspect.imaging import (
     WATER_PRESETS,
-    HsvRaster,
     Raster,
     WaterModel,
     add_speckle,
@@ -77,36 +76,26 @@ class TestRaster:
     def test_non_finite_pixel_among_valid_ones(self, bad):
         arr = np.full((3, 4, 3), 0.5)
         arr[1, 2, 0] = bad
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match="must be a finite number"):
             Raster(arr)
-
-
-class TestHsvRaster:
-    @pytest.mark.parametrize("channel", ["hue", "saturation", "value"])
-    def test_rejects_nan(self, channel):
-        planes = {"hue": np.full((2, 3), 120.0), "saturation": np.full((2, 3), 0.5),
-                  "value": np.full((2, 3), 0.5)}
-        planes[channel][1, 1] = np.nan
-        with pytest.raises(ValueError, match="must lie in"):
-            HsvRaster(**planes)
 
 
 class TestToHsv:
     def test_pure_red(self):
-        hsv = to_hsv(rgb(1.0, 0.0, 0.0))
-        assert (hsv.hue[0, 0], hsv.saturation[0, 0], hsv.value[0, 0]) == (0.0, 1.0, 1.0)
+        hue, sat, val = to_hsv(rgb(1.0, 0.0, 0.0))
+        assert (hue[0, 0], sat[0, 0], val[0, 0]) == (0.0, 1.0, 1.0)
 
     def test_pure_blue(self):
-        hsv = to_hsv(rgb(0.0, 0.0, 1.0))
-        assert (hsv.hue[0, 0], hsv.saturation[0, 0], hsv.value[0, 0]) == (240.0, 1.0, 1.0)
+        hue, sat, val = to_hsv(rgb(0.0, 0.0, 1.0))
+        assert (hue[0, 0], sat[0, 0], val[0, 0]) == (240.0, 1.0, 1.0)
 
     def test_mid_gray_is_achromatic(self):
-        hsv = to_hsv(rgb(0.5, 0.5, 0.5))
-        assert (hsv.hue[0, 0], hsv.saturation[0, 0], hsv.value[0, 0]) == (0.0, 0.0, 0.5)
+        hue, sat, val = to_hsv(rgb(0.5, 0.5, 0.5))
+        assert (hue[0, 0], sat[0, 0], val[0, 0]) == (0.0, 0.0, 0.5)
 
     def test_black_has_zero_saturation(self):
-        hsv = to_hsv(rgb(0.0, 0.0, 0.0))
-        assert hsv.saturation[0, 0] == 0.0 and hsv.value[0, 0] == 0.0
+        _, sat, val = to_hsv(rgb(0.0, 0.0, 0.0))
+        assert sat[0, 0] == 0.0 and val[0, 0] == 0.0
 
     def test_requires_three_channels(self):
         with pytest.raises(ValueError):
@@ -115,23 +104,21 @@ class TestToHsv:
     @given(small_images(channels=3))
     @settings(max_examples=60)
     def test_roundtrip_through_rgb(self, img):
-        back = hsv_to_rgb(to_hsv(img))
+        back = hsv_to_rgb(*to_hsv(img))
         assert np.allclose(back.data, img.data, atol=1e-12)
 
     @given(small_images(channels=3))
     @settings(max_examples=60)
     def test_value_is_channel_max(self, img):
-        assert np.array_equal(to_hsv(img).value, img.data.max(axis=2))
+        assert np.array_equal(to_hsv(img)[2], img.data.max(axis=2))
 
 
     @given(odd_width_images(3))
     @settings(max_examples=80)
     def test_matches_axis_reduction_formulas(self, img):
-        hsv = to_hsv(img)
-        hue, sat, value = oracles.reference_hsv(img.data)
-        assert hsv.hue.tobytes() == hue.tobytes()
-        assert hsv.saturation.tobytes() == sat.tobytes()
-        assert hsv.value.tobytes() == value.tobytes()
+        got = to_hsv(img)
+        for plane, expected in zip(got, oracles.reference_hsv(img.data)):
+            assert plane.tobytes() == expected.tobytes()
 
 
 class TestEqualize:
@@ -155,10 +142,10 @@ class TestEqualize:
         arr[1, 0] = (0.5, 0.2, 0.6)
         arr[1, 1] = (0.3, 0.3, 0.7)
         out = equalize_histogram(Raster(arr))
-        before = to_hsv(Raster(arr))
-        after = to_hsv(out)
-        keep = after.value > 0  # the lowest value bin always maps to 0
-        assert np.allclose(before.hue[keep], after.hue[keep], atol=1e-9)
+        hue_before, _, _ = to_hsv(Raster(arr))
+        hue_after, _, val_after = to_hsv(out)
+        keep = val_after > 0  # the lowest value bin always maps to 0
+        assert np.allclose(hue_before[keep], hue_after[keep], atol=1e-9)
 
     @given(small_images())
     @settings(max_examples=60)
@@ -193,7 +180,7 @@ class TestGamma:
 
 class TestAttenuate:
     def test_half_value_layer(self):
-        water = WaterModel(attenuation=math.log(2.0), backscatter_veil=0.0)
+        water = WaterModel(attenuation=(math.log(2.0),) * 3, backscatter_veil=(0.0,) * 3)
         out = attenuate(rgb(1.0, 1.0, 1.0), water, path_length=1.0)
         assert np.allclose(out.data, 0.5, atol=1e-12)
 
@@ -203,7 +190,7 @@ class TestAttenuate:
         assert np.allclose(out.data, img.data, atol=1e-15)
 
     def test_zero_veil_is_pure_decay(self):
-        water = WaterModel(attenuation=(0.2, 0.3, 0.4), backscatter_veil=0.0)
+        water = WaterModel(attenuation=(0.2, 0.3, 0.4), backscatter_veil=(0.0,) * 3)
         img = rgb(0.8, 0.8, 0.8)
         out = attenuate(img, water, 2.0)
         expect = 0.8 * np.exp(-np.array([0.2, 0.3, 0.4]) * 2.0)
@@ -334,8 +321,3 @@ class TestWaterModel:
     def test_rng_seed_is_an_int64(self, seed):
         with pytest.raises(ValueError, match="rng_seed"):
             WaterModel(rng_seed=seed)
-
-    def test_scalar_broadcast(self):
-        w = WaterModel(attenuation=0.2, backscatter_veil=0.1)
-        assert w.attenuation == (0.2, 0.2, 0.2)
-        assert w.backscatter_veil == (0.1, 0.1, 0.1)

@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import (iou_by_sets, mean_iou_by_sets, reference_box_classes,
                      reference_majority_smooth)
-from posidonia_inspect.imaging import HsvRaster, Raster, hsv_to_rgb
+from posidonia_inspect.imaging import Raster, hsv_to_rgb
 from posidonia_inspect.segmentation import (
     DEBRIS,
     NUM_CLASSES,
@@ -47,10 +47,7 @@ def color_rasters(draw):
 
 
 def hsv_image(h, s, v, shape=(8, 8)) -> Raster:
-    hue = np.full(shape, float(h))
-    sat = np.full(shape, float(s))
-    val = np.full(shape, float(v))
-    return hsv_to_rgb(HsvRaster(hue=hue, saturation=sat, value=val))
+    return hsv_to_rgb(np.full(shape, float(h)), np.full(shape, float(s)), np.full(shape, float(v)))
 
 
 class TestLabelMask:

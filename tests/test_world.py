@@ -51,7 +51,7 @@ def checker_map(n=20):
 
 
 def flat_water():
-    return WaterModel(attenuation=0.0, backscatter_veil=0.0, speckle_density=0.0)
+    return WaterModel(attenuation=(0.0,) * 3, backscatter_veil=(0.0,) * 3, speckle_density=0.0)
 
 
 def tiny_scenario(**over):
@@ -239,7 +239,7 @@ class TestRender:
             assert not np.array_equal(out.data, frame.data)
 
     def test_attenuation_darkens(self):
-        dark_water = WaterModel(attenuation=0.3, backscatter_veil=0.0, speckle_density=0.0)
+        dark_water = WaterModel(attenuation=(0.3,) * 3, backscatter_veil=(0.0,) * 3, speckle_density=0.0)
         bright, _ = render(tiny_scenario(), 5.0, 5.0, 0.0, 3.0)
         dim, _ = render(tiny_scenario(water=dark_water), 5.0, 5.0, 0.0, 3.0)
         assert dim.data.mean() < bright.data.mean()
@@ -543,6 +543,18 @@ class TestScenarioText:
         assert back.tracking == sc.tracking
         assert back.mission == sc.mission
         assert back.waypoints == sc.waypoints
+
+    @pytest.mark.parametrize("stem", ["run#1", " run", "run\n2", "run\x0b2"])
+    def test_save_rejects_a_map_name_the_format_cannot_carry(self, tmp_path, stem):
+        # the map line would be cut at '#', split, or stripped on loading
+        with pytest.raises(ValueError, match="cannot name the map"):
+            save_scenario(empty_scenario(), tmp_path / f"{stem}.scn")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_save_keeps_an_inner_space_in_the_map_name(self, tmp_path):
+        save_scenario(empty_scenario(), tmp_path / "run 1.scn")
+        back = load_scenario(tmp_path / "run 1.scn")
+        assert back.waypoints == empty_scenario().waypoints
 
     def test_minimal_text(self, tmp_path):
         from posidonia_inspect.segmentation import write_mask
