@@ -10,13 +10,17 @@ both sides run from a fresh tree and nothing is written to the repository.
 Each pair runs ``perfbench/run.py --trace 0`` once per side, the side that
 goes first alternating from pair to pair so slow drift of the machine falls
 on both.  For each workload it prints, per end-to-end metric of
-``BENCHMARK.json``, the median on each side, the change/parent ratio, the
-interquartile range of the parent's runs, the metric's bound (a share of
-the parent's median), in how many pairs the change was better, and a
-verdict: ``worse`` when the change's median is worse than the parent's by
-more than the bound, else ``unresolved`` when the parent's interquartile
-range is wider than the bound and not every change run beats every parent
-run, else ``ok``.  Exits 1 if any run crashes or reports ``failed > 0``.
+``BENCHMARK.json``, the median on each side, the change/parent ratio of
+the medians, the median of the change/parent ratios within each pair (the
+two runs of a pair share the machine's slow phases, so this ratio cancels
+drift that the ratio of medians keeps), the interquartile range of the
+parent's runs, the metric's bound (a share of the parent's median), in how
+many pairs the change was better, and a verdict: ``worse`` when the
+change's median is worse than the parent's by more than the bound, else
+``unresolved`` when the parent's interquartile range is wider than the
+bound and not every change run beats every parent run, else ``ok``.  A
+pair with a failed run is left out of the table on both sides.  Exits 1 if
+any run crashes or reports ``failed > 0``.
 """
 
 from __future__ import annotations
@@ -82,6 +86,12 @@ def quartile_spread(values: list[float]) -> float:
     return q3 - q1
 
 
+def paired_ratio(parent: list[float], change: list[float]) -> float:
+    """Median of change/parent over runs of the same pair; NaN without one."""
+    ratios = [c / p for p, c in zip(parent, change) if p]
+    return statistics.median(ratios) if ratios else float("nan")
+
+
 def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
     mp, mc = statistics.median(parent), statistics.median(change)
     if better == "lower":
@@ -116,13 +126,17 @@ def main(argv=None) -> int:
             runs = {"parent": [], "change": []}
             for pair in range(args.pairs):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                done = {}
                 for side in order:
                     result = run_once(sides[side], workload, args.seed, args.seconds)
                     if result is None or result["failed"] > 0:
                         failed += 1
                         print(f"{workload} pair {pair + 1} {side}: FAILED", flush=True)
                         continue
-                    runs[side].append({k: v["value"] for k, v in result["metrics"].items()})
+                    done[side] = {k: v["value"] for k, v in result["metrics"].items()}
+                if len(done) == 2:  # whole pairs only, so runs[...][i] share pair i
+                    for side, values in done.items():
+                        runs[side].append(values)
                 print(f"{workload} pair {pair + 1}/{args.pairs} done", flush=True)
             report(workload, args, metrics, runs)
     return 1 if failed else 0
@@ -132,8 +146,8 @@ def report(workload: str, args, metrics, runs) -> None:
     parent, change = runs["parent"], runs["change"]
     print(f"\n{workload} seed {args.seed}: {len(parent)} parent ({args.ref}) and "
           f"{len(change)} change runs of {args.seconds:g} s")
-    print(f"{'metric':<14}{'parent':>12}{'change':>12}{'ratio':>8}{'parent IQR':>12}"
-          f"{'bound':>7}{'better':>9}  verdict")
+    print(f"{'metric':<14}{'parent':>12}{'change':>12}{'ratio':>8}{'paired':>8}"
+          f"{'parent IQR':>12}{'bound':>7}{'better':>9}  verdict")
     for name, better, bound in metrics:
         p = [r[name] for r in parent]
         c = [r[name] for r in change]
@@ -142,8 +156,9 @@ def report(workload: str, args, metrics, runs) -> None:
         mp, mc = statistics.median(p), statistics.median(c)
         wins = sum((b < a) if better == "lower" else (b > a) for a, b in zip(p, c))
         ratio = mc / mp if mp else float("nan")
-        print(f"{name:<14}{mp:>12.4f}{mc:>12.4f}{ratio:>8.3f}{quartile_spread(p):>12.4f}"
-              f"{bound:>7.0%}{wins:>5} of {min(len(p), len(c))}  {verdict(p, c, better, bound)}")
+        print(f"{name:<14}{mp:>12.4f}{mc:>12.4f}{ratio:>8.3f}{paired_ratio(p, c):>8.3f}"
+              f"{quartile_spread(p):>12.4f}{bound:>7.0%}{wins:>5} of {len(p)}"
+              f"  {verdict(p, c, better, bound)}")
 
 
 if __name__ == "__main__":

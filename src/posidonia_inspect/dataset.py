@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rules import integer, numbers
+from ._rules import integer, number, numbers
 from .imaging import Raster, equalize_histogram, gamma_correct
 from .segmentation import NUM_CLASSES, LabelMask
 
@@ -214,8 +214,9 @@ def _apply_ops(arr: np.ndarray, ops, nearest: bool) -> np.ndarray:
             raise ValueError(f"augmentation ops are non-empty tuples, got {op!r}")
         name, *args = op
         if name == "rotate90":
-            if len(args) != 1 or not isinstance(args[0], int):
+            if len(args) != 1:
                 raise ValueError("rotate90 takes one integer quarter-turn count")
+            integer("rotate90 quarter-turn count", args[0])
             out = np.rot90(out, args[0])
         elif name == "flip_h":
             if args:
@@ -226,8 +227,9 @@ def _apply_ops(arr: np.ndarray, ops, nearest: bool) -> np.ndarray:
                 raise ValueError("flip_v takes no arguments")
             out = out[::-1, :]
         elif name == "zoom_crop":
-            if len(args) != 1 or not (isinstance(args[0], (int, float)) and 0 < args[0] <= 1):
+            if len(args) != 1:
                 raise ValueError("zoom_crop takes one fraction in (0, 1]")
+            number("zoom_crop fraction", args[0], 0, 1, lo_open=True)
             h, w = out.shape[:2]
             ch = max(1, round(h * args[0]))
             cw = max(1, round(w * args[0]))

@@ -58,9 +58,10 @@ class Polygon:
 
 def polygon_area(poly: Polygon) -> float:
     """Signed shoelace area; positive for counterclockwise rings."""
-    v = poly.vertices
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    x, y = poly.vertices.T
+    # sum of x[i] * y[i + 1] - x[i + 1] * y[i], the wrap-around term written out
+    cross = np.dot(x[:-1], y[1:]) - np.dot(x[1:], y[:-1])
+    return 0.5 * float(cross + (x[-1] * y[0] - x[0] * y[-1]))
 
 
 # ---------------------------------------------------------------------------

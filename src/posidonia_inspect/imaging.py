@@ -109,28 +109,38 @@ def to_hsv(img: Raster) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Convert an RGB raster to (hue, saturation, value), each (H, W).
 
     value = max(r, g, b); saturation = (max - min) / max with 0/0 -> 0;
-    hue, in degrees in [0, 360), follows the usual piecewise formula, 0 for
+    hue, in degrees in [0, 360), follows Smith's hexcone sectors, 0 for
     achromatic pixels.
     """
     if img.channels != 3:
         raise ValueError("to_hsv requires a 3-channel raster")
-    rgb = img.data
-    r, g, b = rgb[:, :, 0], rgb[:, :, 1], rgb[:, :, 2]
-    cmax = value_channel(rgb)
-    cmin = np.minimum(np.minimum(r, g), b)
-    delta = cmax - cmin
+    # one contiguous plane per channel: every pass below then reads unit strides
+    r, g, b = np.ascontiguousarray(img.data.transpose(2, 0, 1))
+    cmax = np.maximum(np.maximum(r, g), b)
+    delta = cmax - np.minimum(np.minimum(r, g), b)
 
     sat = np.zeros_like(cmax)
     np.divide(delta, cmax, out=sat, where=cmax > 0.0)
+    chroma = delta > 0.0
+    m_r = chroma & (cmax == r)
+    m_g = chroma & (cmax == g) & ~m_r
+    m_b = chroma ^ m_r ^ m_g
     hue = np.zeros_like(cmax)
-    m_r = (cmax == r) & (delta > 0.0)
-    m_g = (cmax == g) & (delta > 0.0) & ~m_r
-    m_b = (delta > 0.0) & ~m_r & ~m_g
-    # per-sector ratios lie in [-1, 1] because |diff| <= delta
-    hue[m_r] = 60.0 * np.mod((g[m_r] - b[m_r]) / delta[m_r], 6.0)
-    hue[m_g] = 60.0 * ((b[m_g] - r[m_g]) / delta[m_g] + 2.0)
-    hue[m_b] = 60.0 * ((r[m_b] - g[m_b]) / delta[m_b] + 4.0)
-    hue = np.mod(hue, 360.0)
+    np.subtract(g, b, out=hue, where=m_r)
+    np.subtract(b, r, out=hue, where=m_g)
+    np.subtract(r, g, out=hue, where=m_b)
+    np.divide(hue, delta, out=hue, where=chroma)
+    # Each sector ratio lies in [-1, 1] because |diff| <= delta.  There the
+    # red sector's mod(x, 6) is x + 6 for x < 0 and x + 0.0 otherwise (the
+    # + 0.0 turns a -0.0 into the +0.0 that numpy's mod returns).
+    np.add(hue, 6.0, out=hue, where=m_r & (hue < 0.0))
+    np.add(hue, 2.0, out=hue, where=m_g)
+    np.add(hue, 4.0, out=hue, where=m_b)
+    hue += 0.0
+    hue *= 60.0
+    # the sectors give [0, 360]; 360 comes only from a tiny negative red
+    # ratio rounding up to 6, and mod(hue, 360) would fold it to 0
+    np.copyto(hue, 0.0, where=hue == 360.0)
     return hue, sat, cmax
 
 

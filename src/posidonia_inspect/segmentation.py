@@ -110,6 +110,24 @@ _BOXES = (
     (DEBRIS, (10.0, 50.0, 0.15, 0.6, 0.15, 0.55)),
 )
 
+# (lo, hi) of each to_hsv plane: hue in degrees, saturation and value
+_HSV_RANGES = ((0.0, 360.0), (0.0, 1.0), (0.0, 1.0))
+
+
+def _box_tests(box) -> tuple:
+    """(plane, comparison, bound) for each bound of a box that some pixel can fail."""
+    tests = []
+    for plane, (lo, hi, (least, most)) in enumerate(zip(box[::2], box[1::2], _HSV_RANGES)):
+        if lo > least:
+            tests.append((plane, np.greater_equal, lo))
+        if hi < most:
+            tests.append((plane, np.less_equal, hi))
+    return tuple(tests)
+
+
+# the last write wins, so the first box in priority order is written last
+_BOX_TESTS = tuple((code, _box_tests(box)) for code, box in reversed(_BOXES))
+
 
 def majority_smooth(labels: np.ndarray) -> np.ndarray:
     """3x3 majority vote; off-image neighbors do not vote, ties pick the lowest code."""
@@ -140,12 +158,13 @@ class BaselineSegmenter:
     def segment(self, img: Raster) -> LabelMask:
         if img.channels != 3:
             raise ValueError("baseline segmentation needs a color image")
-        hue, sat, val = to_hsv(img)
+        hsv = to_hsv(img)
         out = np.zeros((img.height, img.width), dtype=np.uint8)
-        # the last write wins, so the first box in priority order is written last
-        for code, (h0, h1, s0, s1, v0, v1) in reversed(_BOXES):
-            out[(hue >= h0) & (hue <= h1) & (sat >= s0) & (sat <= s1)
-                & (val >= v0) & (val <= v1)] = code
+        for code, tests in _BOX_TESTS:
+            hit = np.ones(out.shape, dtype=bool)
+            for plane, compare, bound in tests:
+                hit &= compare(hsv[plane], bound)
+            np.copyto(out, code, where=hit)
         return LabelMask(majority_smooth(out))
 
 
@@ -163,7 +182,9 @@ def meadow_boundary(mask: LabelMask) -> Polygon | None:
     labels, count = label_components(mask.data == POSIDONIA)
     if count == 0:
         return None
-    return trace_component(labels, 1 + int(np.argmax(np.bincount(labels.ravel())[1:])))
+    # a lone component needs no size count; tracking frames mostly hold one
+    lab = 1 if count == 1 else 1 + int(np.argmax(np.bincount(labels.ravel())[1:]))
+    return trace_component(labels, lab)
 
 
 # ---------------------------------------------------------------------------

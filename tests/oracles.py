@@ -6,9 +6,9 @@ membership, flood-fill boundary sets, and set-based IoU counting.  The
 rendering references keep the straightforward per-frame formulas (fancy-index
 class lookup, per-pixel noise, last-axis reductions and broadcasting) that the
 library computes with cheaper array shapes; they must agree byte for byte.
-The majority-vote, contour and box-classification references are the
-library's earlier kernels, kept as they were so the faster ones can be
-compared with them bytewise.
+The HSV, majority-vote, contour, shoelace, meadow-pick and
+box-classification references are the library's earlier kernels, kept as
+they were so the faster ones can be compared with them bytewise.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ import numpy as np
 from scipy import ndimage
 
 from posidonia_inspect.camera import pixel_grid_world
-from posidonia_inspect.geometry import Polygon, polygon_area
+from posidonia_inspect.geometry import Polygon
 from posidonia_inspect.imaging import Raster, add_speckle
-from posidonia_inspect.segmentation import _BOXES, NUM_CLASSES
+from posidonia_inspect.segmentation import _BOXES, NUM_CLASSES, POSIDONIA
 from posidonia_inspect.world import _cell_noise, _pose_seed
 
 
@@ -311,6 +311,21 @@ def reference_trace_component(labels: np.ndarray, lab: int) -> Polygon:
     while len(verts) < 3:  # degenerate 1- or 2-pixel blobs
         verts.append(verts[0])
     poly = Polygon(np.array(verts))
-    if polygon_area(poly) < 0.0:
+    if reference_polygon_area(poly) < 0.0:
         poly = Polygon(poly.vertices[::-1])
     return poly
+
+
+def reference_polygon_area(poly: Polygon) -> float:
+    """Signed shoelace area with the next vertex taken by np.roll."""
+    x, y = poly.vertices[:, 0], poly.vertices[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def reference_meadow_boundary(mask: np.ndarray) -> Polygon | None:
+    """Outer ring of the largest posidonia component (lowest label on a
+    tie), picked by bincount however many components there are."""
+    labels, count = ndimage.label(mask == POSIDONIA, structure=np.ones((3, 3)))
+    if count == 0:
+        return None
+    return reference_trace_component(labels, 1 + int(np.argmax(np.bincount(labels.ravel())[1:])))

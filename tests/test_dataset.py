@@ -233,6 +233,15 @@ class TestAugment:
         with pytest.raises(ValueError):
             augment_image(img, [("zoom_crop", 0.0)])
 
+    @pytest.mark.parametrize("op", [("rotate90", True), ("rotate90", False),
+                                    ("zoom_crop", True)])
+    def test_bool_argument_is_rejected(self, op):
+        # True would otherwise count as one quarter turn or the full frame
+        with pytest.raises(ValueError, match="got (True|False)"):
+            augment_image(Raster(np.zeros((4, 6, 3))), [op])
+        with pytest.raises(ValueError, match="got (True|False)"):
+            augment_mask(LabelMask(np.zeros((4, 6), dtype=np.uint8)), [op])
+
 
 class TestEnhance:
     def test_composition(self):

@@ -20,6 +20,7 @@ from posidonia_inspect.imaging import (
     to_hsv,
     write_pnm,
 )
+from posidonia_inspect.segmentation import POSIDONIA
 
 
 def gray(values) -> Raster:
@@ -116,9 +117,45 @@ class TestToHsv:
     @given(odd_width_images(3))
     @settings(max_examples=80)
     def test_matches_axis_reduction_formulas(self, img):
-        got = to_hsv(img)
-        for plane, expected in zip(got, oracles.reference_hsv(img.data)):
-            assert plane.tobytes() == expected.tobytes()
+        assert_hsv_matches_mod_reference(img)
+
+    def test_fold_signed_zero_and_achromatic_pixels_match_mod_reference(self):
+        data = np.array([[
+            [0.9, 0.1, 0.1 + 2**-55],  # a red ratio so small that ratio + 6 rounds to 6
+            [0.3, 0.24, np.nextafter(0.24, 1.0)],  # hue just below 360
+            [0.5, -0.0, 0.0],  # a red ratio of -0.0
+            [0.0, 0.0, 0.0], [0.5, 0.5, 0.5], [1.0, 1.0, 1.0],  # black, gray, white
+        ]])
+        r, g, b = np.moveaxis(data[0], 1, 0)
+        delta = np.ptp(data[0], axis=1)
+        assert 60.0 * ((g[0] - b[0]) / delta[0] + 6.0) == 360.0
+        assert 359.0 < 60.0 * ((g[1] - b[1]) / delta[1] + 6.0) < 360.0
+        ratio = (g[2] - b[2]) / delta[2]
+        assert ratio == 0.0 and np.signbit(ratio)
+        assert not delta[3:].any()
+        assert_hsv_matches_mod_reference(Raster(data))
+
+    @pytest.mark.parametrize("levels", [8, 255])
+    def test_quantised_rasters_match_mod_reference(self, levels):
+        data = np.round(np.random.default_rng(levels).random((48, 64, 3)) * levels) / levels
+        r, g, b = np.moveaxis(data, 2, 0)
+        cmax, chroma = data.max(axis=2), np.ptp(data, axis=2) > 0.0
+        red = chroma & (cmax == r)
+        green = chroma & (cmax == g) & ~red
+        # each sector, a negative red ratio, and red-green ties, which go to red
+        assert green.any() and (chroma & ~red & ~green).any()
+        assert (red & (g < b)).any() and (red & (cmax == g)).any()
+        assert_hsv_matches_mod_reference(Raster(data))
+
+    def test_ring_edge_frames_match_mod_reference(self, ring_edge_frames):
+        for frame, truth in ring_edge_frames:
+            assert 0 < np.count_nonzero(truth.data == POSIDONIA) < truth.data.size
+            assert_hsv_matches_mod_reference(frame)
+
+
+def assert_hsv_matches_mod_reference(img: Raster) -> None:
+    for plane, expected in zip(to_hsv(img), oracles.reference_hsv(img.data)):
+        assert plane.tobytes() == expected.tobytes()
 
 
 class TestEqualize:

@@ -2,6 +2,7 @@
 and bench_pair times the working tree against a git ref."""
 
 import importlib.util
+import math
 import os
 import re
 import subprocess
@@ -82,3 +83,13 @@ def bench_pair_module():
 ])
 def test_bench_pair_verdict_applies_the_bound(parent, change, better, want):
     assert bench_pair_module().verdict(parent, change, better, 0.25) == want
+
+
+def test_bench_pair_paired_ratio_follows_each_pair():
+    paired_ratio = bench_pair_module().paired_ratio
+    # the machine slows pair by pair; each change run is 10% faster than its partner
+    parent, change = [1.0, 2.0, 4.0, 8.0, 16.0], [0.9, 1.8, 3.6, 7.2, 14.4]
+    assert paired_ratio(parent, change) == pytest.approx(0.9)
+    # a zero parent run has no ratio; no pair at all gives NaN
+    assert paired_ratio([0.0, 2.0, 4.0], [1.0, 1.0, 5.0]) == pytest.approx(0.875)
+    assert math.isnan(paired_ratio([], []))

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import (iou_by_sets, mean_iou_by_sets, reference_box_classes,
-                     reference_majority_smooth)
+from oracles import (iou_by_sets, mean_iou_by_sets, reference_box_classes, reference_hsv,
+                     reference_majority_smooth, reference_meadow_boundary)
+from posidonia_inspect.geometry import label_components
 from posidonia_inspect.imaging import Raster, hsv_to_rgb
 from posidonia_inspect.segmentation import (
     DEBRIS,
@@ -126,6 +127,40 @@ class TestBaselineSegmenter:
         want = majority_smooth(reference_box_classes(data))
         assert got.tobytes() == want.tobytes()
 
+    def test_pixels_on_skipped_bounds_match_reference(self):
+        data = np.array([[
+            [0.0, 0.3, 0.1],  # posidonia at saturation 1, its skipped upper bound
+            [0.2, 0.2, 0.2],  # rocks at hue 0 and saturation 0, its skipped lower bounds
+            [0.3, 0.225, np.nextafter(0.225, 1.0)],  # rocks at a hue folded from 360 to 0
+            [0.3, 0.24, np.nextafter(0.24, 1.0)],  # rocks at a hue just below 360
+            [0.0, 0.0, 0.0],  # black: below the value >= 0.02 bound that rocks keep
+        ]])
+        hue, sat, val = reference_hsv(data)
+        assert sat[0, 0] == 1.0 and hue[0, 1] == sat[0, 1] == 0.0 and hue[0, 3] > 359.0
+        assert hue[0, 4] == sat[0, 4] == val[0, 4] == 0.0
+        r, g, b = data[0, 2]
+        assert 60.0 * ((g - b) / (r - g) + 6.0) == 360.0
+        want = reference_box_classes(data)[0]
+        assert list(want) == [POSIDONIA, ROCKS, ROCKS, ROCKS, SAND]
+        # a one-pixel frame is its own majority, so segment shows the box test alone
+        seg = BaselineSegmenter()
+        assert [seg.segment(Raster(data[:, i:i + 1])).data[0, 0] for i in range(5)] == list(want)
+
+    @pytest.mark.parametrize("levels", [8, 255])
+    def test_quantised_block_rasters_match_reference(self, levels):
+        # dark 3x3 blocks of one color, so every class survives the smoothing
+        coarse = np.random.default_rng(levels).random((16, 20, 3)) * 0.5
+        data = (np.round(coarse * levels) / levels).repeat(3, axis=0).repeat(3, axis=1)
+        want = majority_smooth(reference_box_classes(data))
+        assert set(np.unique(want)) == {SAND, POSIDONIA, DEBRIS, ROCKS}
+        assert BaselineSegmenter().segment(Raster(data)).data.tobytes() == want.tobytes()
+
+    def test_ring_edge_frames_match_reference(self, ring_edge_frames):
+        for frame, _ in ring_edge_frames:
+            want = majority_smooth(reference_box_classes(frame.data))
+            assert 0 < np.count_nonzero(want == POSIDONIA) < want.size
+            assert BaselineSegmenter().segment(frame).data.tobytes() == want.tobytes()
+
     def test_rejects_gray_input(self):
         seg = BaselineSegmenter()
         with pytest.raises(ValueError):
@@ -177,6 +212,29 @@ class TestMeadowBoundary:
         data[1:3, 5:7] = POSIDONIA  # same size, first in scan order
         poly = meadow_boundary(LabelMask(data))
         assert poly.vertices[:, 1].max() <= 2.0
+
+    @pytest.mark.parametrize("blobs, count, largest", [
+        ((), 0, 0),
+        (((2, 2, 5, 7),), 1, 1),
+        (((1, 1, 3, 3), (5, 4, 9, 9), (0, 7, 2, 9)), 3, 1),
+        (((5, 1, 7, 3), (1, 5, 3, 7)), 2, 2),  # a size tie
+    ])
+    def test_matches_bincount_reference(self, blobs, count, largest):
+        data = np.zeros((10, 10), dtype=np.uint8)
+        data[0, 0] = DEBRIS
+        for r0, c0, r1, c1 in blobs:
+            data[r0:r1, c0:c1] = POSIDONIA
+        labels, found = label_components(data == POSIDONIA)
+        sizes = list(np.bincount(labels.ravel())[1:])
+        # components found, and how many of them share the largest size
+        assert (found, sizes.count(max(sizes, default=0))) == (count, largest)
+        assert_boundary_matches_reference(data)
+
+    def test_ring_edge_masks_match_reference(self, ring_edge_frames):
+        for frame, truth in ring_edge_frames:
+            for data in (truth.data, BaselineSegmenter().segment(frame).data):
+                assert label_components(data == POSIDONIA)[1] >= 1
+                assert_boundary_matches_reference(data)
 
     def test_no_meadow(self):
         data = np.full((5, 5), ROCKS, dtype=np.uint8)
@@ -243,3 +301,10 @@ class TestIoU:
 
     def test_mean_empty_pool(self):
         assert mean_iou([]) == 1.0
+
+
+def assert_boundary_matches_reference(data: np.ndarray) -> None:
+    got, want = meadow_boundary(LabelMask(data)), reference_meadow_boundary(data)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.vertices.tobytes() == want.vertices.tobytes()
