@@ -18,8 +18,11 @@ parent's runs, the metric's bound (a share of the parent's median), in how
 many pairs the change was better, and a verdict: ``worse`` when the
 change's median is worse than the parent's by more than the bound, else
 ``unresolved`` when the parent's interquartile range is wider than the
-bound and not every change run beats every parent run, else ``ok``.  A
-pair with a failed run is left out of the table on both sides.  Exits 1 if
+bound and not every change run beats every parent run, else ``ok``.
+Under the table it lists each side's ``setup_s`` runs, sorted, in µs: the
+load time can fall into two clusters from process to process, which a
+median and an interquartile range hide.  A pair with a failed run is left
+out of the table on both sides.  Exits 1 if
 any run crashes or reports ``failed > 0``.
 """
 
@@ -159,6 +162,9 @@ def report(workload: str, args, metrics, runs) -> None:
         print(f"{name:<14}{mp:>12.4f}{mc:>12.4f}{ratio:>8.3f}{paired_ratio(p, c):>8.3f}"
               f"{quartile_spread(p):>12.4f}{bound:>7.0%}{wins:>5} of {len(p)}"
               f"  {verdict(p, c, better, bound)}")
+    for side, side_runs in (("parent", parent), ("change", change)):
+        setups = sorted(r["setup_s"] * 1e6 for r in side_runs)
+        print(f"setup_s {side} runs (us): {' '.join(f'{v:.0f}' for v in setups)}")
 
 
 if __name__ == "__main__":

@@ -3,15 +3,20 @@
 The machine cycles SURVEY -> DESCEND -> INSPECT -> (TRACK_BOUNDARY ->)
 ASCEND -> SURVEY over a waypoint list, diving on dark patches the
 detector reports and following meadow boundaries until they close.
-run_tick is a pure transition function; run_mission owns the loop and
-produces a MissionLog whose file renderings are byte-stable for a
+run_tick is a pure transition function.  It finds the phase's function in
+the _PHASES table; each returns the MissionState fields it changes and the
+guidance, and run_tick applies them in one replace.  INSPECT and
+TRACK_BOUNDARY, named in _MASK_PHASES, read the segmenter's mask of the
+frame, which run_tick takes once per tick; the others read the frame at
+most through the dark-patch detector (SURVEY).  run_mission owns the loop
+and produces a MissionLog whose file renderings are byte-stable for a
 given scenario seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
@@ -142,21 +147,30 @@ def initial_state(scenario: Scenario) -> MissionState:
     return MissionState(explored=ExploredMap(alpha=scenario.mission.explored_alpha))
 
 
-def _cover_ring(x: float, y: float, radius: float) -> list[tuple[float, float]]:
-    # coarse disk outline committed around each dive so the patch and its
-    # immediate surroundings count as explored afterwards
-    n = 16  # outline points
-    return [
-        (x + radius * math.cos(2.0 * math.pi * k / n),
-         y + radius * math.sin(2.0 * math.pi * k / n))
-        for k in range(n)
-    ]
+@dataclass(slots=True)
+class _Tick:
+    """What one transition reads, and the events it emits."""
+
+    tick: int
+    vehicle: VehicleState
+    frame: Frame
+    scenario: Scenario
+    inspect_depth: float
+    events: list[MissionEvent] = field(default_factory=list)
+
+    def emit(self, kind: str, detail: str = "", at: tuple[float, float] | None = None) -> None:
+        ex, ey = at if at is not None else (self.vehicle.x, self.vehicle.y)
+        self.events.append(MissionEvent(self.vehicle.time, kind, ex, ey, detail))
+
+    def hold(self, depth: float, yaw: float | None = None) -> GuidanceRef:
+        # stop at depth, turned to yaw or on the current heading
+        yaw = self.vehicle.yaw if yaw is None else yaw
+        return GuidanceRef(target_depth=depth, target_surge=0.0, target_yaw=yaw)
 
 
-def _fresh_match(
-    machine: MissionState, cfg: MissionConfig, wx: float, wy: float, tick: int
-) -> int | None:
-    for i, (ax, ay, seen) in enumerate(machine.announcements):
+def _fresh_match(announced: list, cfg: MissionConfig, wx: float, wy: float,
+                 tick: int) -> int | None:
+    for i, (ax, ay, seen) in enumerate(announced):
         if tick - seen > cfg.announce_expiry_ticks:
             continue
         if math.hypot(wx - ax, wy - ay) <= cfg.announce_match_radius:
@@ -178,13 +192,7 @@ def _segment_safely(backend: SegmenterBackend, camera: CameraModel, frame: Frame
     return mask, None
 
 
-def _hold(depth: float, yaw: float) -> GuidanceRef:
-    return GuidanceRef(target_depth=depth, target_surge=0.0, target_yaw=yaw)
-
-
-def _boundary_align_yaw(
-    contour: Polygon, camera: CameraModel, frame: Frame, meadow_side: str
-) -> float | None:
+def _boundary_align_yaw(contour: Polygon, ctx: _Tick) -> float | None:
     """World heading along the boundary at its point nearest the camera.
 
     The rate-based follow law assumes the vehicle already moves roughly
@@ -192,11 +200,9 @@ def _boundary_align_yaw(
     tangent is taken from the contour's neighbors around the nearest
     vertex and flipped so the meadow interior sits on the configured side.
     """
-    verts = contour.vertices
-    if verts.shape[0] < 3:
-        return None
+    verts, frame = contour.vertices, ctx.frame
     wx, wy = pixel_to_world(
-        camera, verts[:, 0], verts[:, 1], frame.x, frame.y, frame.yaw, frame.altitude
+        ctx.scenario.camera, verts[:, 0], verts[:, 1], frame.x, frame.y, frame.yaw, frame.altitude
     )
     n = wx.shape[0]
     i = int(np.argmin((wx - frame.x) ** 2 + (wy - frame.y) ** 2))
@@ -210,9 +216,190 @@ def _boundary_align_yaw(
     toward_y = float(wy.mean()) - wy[i]
     # world frame is y-up, so "meadow on the left" means positive cross
     cross = tx * toward_y - ty * toward_x
-    if (cross > 0.0) != (meadow_side == "left"):
+    if (cross > 0.0) != (ctx.scenario.tracking.meadow_side == "left"):
         tx, ty = -tx, -ty
     return math.atan2(ty, tx)
+
+
+def _dive_seen(machine: MissionState, ctx: _Tick):
+    # what the dive has seen, for the explored map: the track in TRACK_BOUNDARY;
+    # in INSPECT the buffered survey line and a coarse disk outline around the
+    # dive point, so the patch and its surroundings count as explored
+    if machine.phase is MissionPhase.TRACK_BOUNDARY:
+        return machine.track_points
+    x, y, r = ctx.vehicle.x, ctx.vehicle.y, ctx.scenario.mission.cover_radius
+    n = 16  # outline points
+    return [*machine.survey_samples, *(
+        (x + r * math.cos(2.0 * math.pi * k / n), y + r * math.sin(2.0 * math.pi * k / n))
+        for k in range(n)
+    )]
+
+
+def _end_dive(machine: MissionState, ctx: _Tick, seen=(), ring: Polygon | None = None):
+    # the one way out of a dive: a closed track adds its ring, any other exit
+    # commits what the dive saw; every exit clears the whole track
+    ctx.emit(ASCEND_START)
+    if ring is None:
+        explored = record_exploration(machine.explored, [*seen, (ctx.vehicle.x, ctx.vehicle.y)])
+    else:
+        explored = machine.explored.add_region(ring)
+    return {
+        "phase": MissionPhase.ASCEND, "explored": explored, "survey_samples": (),
+        "track_points": (), "track_path": 0.0, "track_align_yaw": None, "lost_count": 0,
+    }, ctx.hold(ctx.scenario.mission.survey_depth)
+
+
+def _complete(machine: MissionState, ctx: _Tick):
+    return {}, ctx.hold(ctx.scenario.mission.survey_depth)
+
+
+def _survey(machine: MissionState, ctx: _Tick):
+    scenario, vehicle, frame, tick = ctx.scenario, ctx.vehicle, ctx.frame, ctx.tick
+    mission, vcfg = scenario.mission, scenario.vehicle
+    changes = {}
+    if tick % mission.trajectory_stride == 0:
+        changes["survey_samples"] = machine.survey_samples + ((vehicle.x, vehicle.y),)
+
+    report = detect_dark_patches(frame, scenario.detector, vehicle_depth=vehicle.z)
+    announced = list(machine.announcements)
+    target = None
+    for patch in report.patches:
+        wx, wy = pixel_to_world(
+            scenario.camera, *patch.centroid, frame.x, frame.y, frame.yaw, frame.altitude
+        )
+        hit = _fresh_match(announced, mission, wx, wy, tick)
+        if hit is not None:
+            announced[hit] = (wx, wy, tick)
+            continue
+        announced.append((wx, wy, tick))
+        if explored_covers(machine.explored, (wx, wy)):
+            ctx.emit(PATCH_SKIPPED_EXPLORED, f"at {wx:.2f} {wy:.2f}", at=(wx, wy))
+        else:
+            ctx.emit(PATCH_DETECTED, f"at {wx:.2f} {wy:.2f} area {patch.area_px}", at=(wx, wy))
+            ctx.emit(DESCEND_START, f"target {wx:.2f} {wy:.2f}", at=(wx, wy))
+            target = (wx, wy)
+        break  # at most one announcement per tick keeps the log readable
+    changes["announcements"] = tuple(announced)
+    if target is not None:
+        ref, _ = waypoint_guidance(vehicle, target, ctx.inspect_depth, vcfg)
+        return changes | {"phase": MissionPhase.DESCEND, "descend_target": target}, ref
+
+    waypoints, index = scenario.waypoints, machine.waypoint_index
+    ref, arrived = waypoint_guidance(vehicle, waypoints[index], mission.survey_depth, vcfg)
+    if arrived:
+        ctx.emit(WAYPOINT_REACHED, f"index {index}")
+        if index + 1 >= len(waypoints):
+            ctx.emit(MISSION_COMPLETE, f"waypoints {len(waypoints)}")
+            changes["phase"] = MissionPhase.COMPLETE
+            return changes, ctx.hold(mission.survey_depth)
+        changes["waypoint_index"] = index + 1
+        ref, _ = waypoint_guidance(vehicle, waypoints[index + 1], mission.survey_depth, vcfg)
+    return changes, ref
+
+
+def _descend(machine: MissionState, ctx: _Tick):
+    vcfg, depth = ctx.scenario.vehicle, ctx.inspect_depth
+    ref, arrived = waypoint_guidance(ctx.vehicle, machine.descend_target, depth, vcfg)
+    if not arrived:
+        return {}, ref
+    return {"phase": MissionPhase.INSPECT, "inspect_left": ctx.scenario.mission.inspect_frames,
+            "inspect_hits": 0, "inspect_rocks": 0}, ctx.hold(depth)
+
+
+def _inspect(machine: MissionState, ctx: _Tick, mask: LabelMask):
+    mission = ctx.scenario.mission
+    fractions = summarize(mask)
+    present = fractions >= mission.presence_min_fraction
+    left = machine.inspect_left - 1
+    hits = machine.inspect_hits + int(present[POSIDONIA])
+    rocks = machine.inspect_rocks + int(present[ROCKS])
+    changes = {"inspect_left": left, "inspect_hits": hits, "inspect_rocks": rocks}
+    if left > 0:
+        return changes, ctx.hold(ctx.inspect_depth)
+
+    if 2 * hits <= mission.inspect_frames:
+        ctx.emit(ROCKS_ONLY, "rocks" if rocks else "barren")
+        exit_changes, ref = _end_dive(machine, ctx, _dive_seen(machine, ctx))
+        return changes | exit_changes, ref
+
+    # a meadow commits the dive at the decision frame, so a run cut
+    # short while tracking still holds it
+    ctx.emit(POSIDONIA_FOUND, f"fraction {fractions[POSIDONIA]:.3f}")
+    pos = (ctx.vehicle.x, ctx.vehicle.y)
+    explored = record_exploration(machine.explored, [*_dive_seen(machine, ctx), pos])
+    contour = meadow_boundary(mask)
+    align = None if contour is None else _boundary_align_yaw(contour, ctx)
+    return changes | {
+        "phase": MissionPhase.TRACK_BOUNDARY, "explored": explored, "survey_samples": (),
+        "track_points": (pos,), "track_align_yaw": align,
+    }, ctx.hold(ctx.inspect_depth)
+
+
+def _track(machine: MissionState, ctx: _Tick, mask: LabelMask):
+    scenario, vehicle, depth = ctx.scenario, ctx.vehicle, ctx.inspect_depth
+    mission, tracking = scenario.mission, scenario.tracking
+    pos = (vehicle.x, vehicle.y)
+    prev, start = machine.track_points[-1], machine.track_points[0]
+    path = machine.track_path + math.hypot(pos[0] - prev[0], pos[1] - prev[1])
+    track = machine.track_points + (pos,)
+    closed = math.hypot(pos[0] - start[0], pos[1] - start[1]) <= mission.loop_close_radius
+    if path >= mission.min_track_path and closed:
+        ctx.emit(TRACK_CLOSED, f"path {path:.2f}")
+        return _end_dive(machine, ctx, ring=Polygon(np.array(track)))
+
+    changes = {"track_path": path, "track_points": track}
+    if machine.track_align_yaw is not None:
+        # acquisition: rotate in place onto the boundary heading before
+        # the rate-based follow law takes over
+        if abs(wrap_angle(machine.track_align_yaw - vehicle.yaw)) > 0.25:
+            return changes, ctx.hold(depth, machine.track_align_yaw)
+        changes["track_align_yaw"] = None
+
+    contour = meadow_boundary(mask)
+    ref = None if contour is None else boundary_guidance(contour, scenario.camera, tracking, depth)
+    if ref is not None:
+        return changes | {"lost_count": 0}, ref
+
+    lost = machine.lost_count + 1
+    if lost >= mission.boundary_lost_limit:
+        ctx.emit(TRACK_LOST, f"path {path:.2f}")
+        return _end_dive(machine, ctx, track)
+
+    changes["lost_count"] = lost
+    # boundary visible but not followable from this attitude: stop and
+    # re-align on it; nothing visible at all usually means the frame is
+    # wholly inside the meadow, where straight ahead finds the edge
+    if contour is not None:
+        interior = interior_vertices(contour, scenario.camera, tracking.border_margin)
+        if interior.shape[0] >= tracking.min_band_points:
+            align = _boundary_align_yaw(contour, ctx)
+            if align is not None:
+                return changes | {"track_align_yaw": align}, ctx.hold(depth, align)
+    return changes, GuidanceRef(target_depth=depth, target_surge=tracking.track_speed,
+                                target_yaw=vehicle.yaw)
+
+
+def _ascend(machine: MissionState, ctx: _Tick):
+    mission, vcfg = ctx.scenario.mission, ctx.scenario.vehicle
+    if abs(ctx.vehicle.z - mission.survey_depth) <= vcfg.arrival_depth_tol:
+        stamped = tuple((ax, ay, ctx.tick) for ax, ay, _ in machine.announcements)
+        waypoint = ctx.scenario.waypoints[machine.waypoint_index]
+        ref, _ = waypoint_guidance(ctx.vehicle, waypoint, mission.survey_depth, vcfg)
+        return {"phase": MissionPhase.SURVEY, "announcements": stamped}, ref
+    return {}, ctx.hold(mission.survey_depth)
+
+
+# one function per phase; each returns the fields it changes and the guidance
+_PHASES = {
+    MissionPhase.SURVEY: _survey,
+    MissionPhase.DESCEND: _descend,
+    MissionPhase.INSPECT: _inspect,
+    MissionPhase.TRACK_BOUNDARY: _track,
+    MissionPhase.ASCEND: _ascend,
+    MissionPhase.COMPLETE: _complete,
+}
+# the phases that take the segmenter's mask of the frame as a third argument
+_MASK_PHASES = frozenset({MissionPhase.INSPECT, MissionPhase.TRACK_BOUNDARY})
 
 
 def run_tick(
@@ -226,208 +413,19 @@ def run_tick(
 
     Image positions map to the seafloor through the pose stamped on frame.
     """
-    mission = scenario.mission
-    vcfg = scenario.vehicle
-    inspect_depth = scenario.seafloor.seabed_depth - mission.inspect_altitude
-    tick = machine.tick + 1
-    now = vehicle.time
-    pos = (vehicle.x, vehicle.y)
-    events: list[MissionEvent] = []
-
-    def emit(kind: str, detail: str = "", at: tuple[float, float] | None = None) -> None:
-        ex, ey = at if at is not None else (vehicle.x, vehicle.y)
-        events.append(MissionEvent(now, kind, ex, ey, detail))
-
-    def commit(machine: MissionState) -> MissionState:
-        # what the dive saw joins the explored map with the vehicle's own
-        # position: the buffered survey line and the cover ring when it
-        # leaves INSPECT, the track so far when it leaves TRACK_BOUNDARY
-        if machine.phase is MissionPhase.INSPECT:
-            seen = list(machine.survey_samples) + _cover_ring(*pos, mission.cover_radius)
+    ctx = _Tick(machine.tick + 1, vehicle, frame, scenario,
+                scenario.seafloor.seabed_depth - scenario.mission.inspect_altitude)
+    advance = _PHASES[machine.phase]
+    if machine.phase not in _MASK_PHASES:
+        changes, ref = advance(machine, ctx)
+    else:
+        mask, err = _segment_safely(backend, scenario.camera, frame)
+        if mask is None:
+            ctx.emit(SEGMENTER_ERROR, err)
+            changes, ref = _end_dive(machine, ctx, _dive_seen(machine, ctx))
         else:
-            seen = machine.track_points
-        explored = record_exploration(machine.explored, [*seen, pos])
-        return replace(machine, explored=explored, survey_samples=())
-
-    def ascend(machine: MissionState, closed: Polygon | None = None):
-        # the one way out of a dive: a closed track adds its ring, any other
-        # exit commits what the dive saw; every exit clears the whole track
-        emit(ASCEND_START)
-        if closed is None:
-            machine = commit(machine)
-        else:
-            machine = replace(machine, explored=machine.explored.add_region(closed))
-        machine = replace(
-            machine, phase=MissionPhase.ASCEND, track_points=(), track_path=0.0,
-            track_align_yaw=None, lost_count=0,
-        )
-        return machine, _hold(mission.survey_depth, vehicle.yaw), events
-
-    machine = replace(machine, tick=tick)
-
-    if machine.phase is MissionPhase.COMPLETE:
-        return machine, _hold(mission.survey_depth, vehicle.yaw), events
-
-    if machine.phase is MissionPhase.SURVEY:
-        if tick % mission.trajectory_stride == 0:
-            machine = replace(machine, survey_samples=machine.survey_samples + (pos,))
-
-        report = detect_dark_patches(frame, scenario.detector, vehicle_depth=vehicle.z)
-        for patch in report.patches:
-            wx, wy = pixel_to_world(
-                scenario.camera, *patch.centroid, frame.x, frame.y, frame.yaw, frame.altitude
-            )
-            hit = _fresh_match(machine, mission, wx, wy, tick)
-            if hit is not None:
-                entries = list(machine.announcements)
-                entries[hit] = (wx, wy, tick)
-                machine = replace(machine, announcements=tuple(entries))
-                continue
-            machine = replace(
-                machine, announcements=machine.announcements + ((wx, wy, tick),)
-            )
-            if explored_covers(machine.explored, (wx, wy)):
-                emit(PATCH_SKIPPED_EXPLORED, f"at {wx:.2f} {wy:.2f}", at=(wx, wy))
-            else:
-                emit(PATCH_DETECTED, f"at {wx:.2f} {wy:.2f} area {patch.area_px}",
-                     at=(wx, wy))
-                emit(DESCEND_START, f"target {wx:.2f} {wy:.2f}", at=(wx, wy))
-                machine = replace(
-                    machine, phase=MissionPhase.DESCEND, descend_target=(wx, wy)
-                )
-            break  # at most one announcement per tick keeps the log readable
-
-        if machine.phase is MissionPhase.DESCEND:
-            ref, _ = waypoint_guidance(vehicle, machine.descend_target, inspect_depth, vcfg)
-            return machine, ref, events
-
-        waypoint = scenario.waypoints[machine.waypoint_index]
-        ref, arrived = waypoint_guidance(vehicle, waypoint, mission.survey_depth, vcfg)
-        if arrived:
-            emit(WAYPOINT_REACHED, f"index {machine.waypoint_index}")
-            nxt = machine.waypoint_index + 1
-            if nxt >= len(scenario.waypoints):
-                emit(MISSION_COMPLETE, f"waypoints {len(scenario.waypoints)}")
-                machine = replace(machine, phase=MissionPhase.COMPLETE)
-                return machine, _hold(mission.survey_depth, vehicle.yaw), events
-            machine = replace(machine, waypoint_index=nxt)
-            waypoint = scenario.waypoints[nxt]
-            ref, _ = waypoint_guidance(vehicle, waypoint, mission.survey_depth, vcfg)
-        return machine, ref, events
-
-    if machine.phase is MissionPhase.DESCEND:
-        ref, arrived = waypoint_guidance(vehicle, machine.descend_target, inspect_depth, vcfg)
-        if arrived:
-            machine = replace(
-                machine,
-                phase=MissionPhase.INSPECT,
-                inspect_left=mission.inspect_frames,
-                inspect_hits=0,
-                inspect_rocks=0,
-            )
-            return machine, _hold(inspect_depth, vehicle.yaw), events
-        return machine, ref, events
-
-    if machine.phase is MissionPhase.ASCEND:
-        if abs(vehicle.z - mission.survey_depth) <= vcfg.arrival_depth_tol:
-            stamped = tuple((ax, ay, tick) for ax, ay, _ in machine.announcements)
-            machine = replace(machine, phase=MissionPhase.SURVEY, announcements=stamped)
-            waypoint = scenario.waypoints[machine.waypoint_index]
-            ref, _ = waypoint_guidance(vehicle, waypoint, mission.survey_depth, vcfg)
-            return machine, ref, events
-        return machine, _hold(mission.survey_depth, vehicle.yaw), events
-
-    # INSPECT and TRACK_BOUNDARY both read the segmenter once per tick
-    mask, err = _segment_safely(backend, scenario.camera, frame)
-    if mask is None:
-        emit(SEGMENTER_ERROR, err)
-        return ascend(machine)
-
-    if machine.phase is MissionPhase.INSPECT:
-        fractions = summarize(mask)
-        present = fractions >= mission.presence_min_fraction
-        machine = replace(
-            machine,
-            inspect_left=machine.inspect_left - 1,
-            inspect_hits=machine.inspect_hits + int(present[POSIDONIA]),
-            inspect_rocks=machine.inspect_rocks + int(present[ROCKS]),
-        )
-        if machine.inspect_left > 0:
-            return machine, _hold(inspect_depth, vehicle.yaw), events
-
-        if 2 * machine.inspect_hits <= mission.inspect_frames:
-            emit(ROCKS_ONLY, "rocks" if machine.inspect_rocks else "barren")
-            return ascend(machine)
-
-        # a meadow commits the dive at the decision frame, so a run cut
-        # short while tracking still holds it
-        emit(POSIDONIA_FOUND, f"fraction {fractions[POSIDONIA]:.3f}")
-        machine = commit(machine)
-        align = None
-        contour = meadow_boundary(mask)
-        if contour is not None:
-            align = _boundary_align_yaw(
-                contour, scenario.camera, frame, scenario.tracking.meadow_side
-            )
-        machine = replace(
-            machine, phase=MissionPhase.TRACK_BOUNDARY, track_points=(pos,),
-            track_align_yaw=align,
-        )
-        return machine, _hold(inspect_depth, vehicle.yaw), events
-
-    # TRACK_BOUNDARY
-    prev, start = machine.track_points[-1], machine.track_points[0]
-    machine = replace(
-        machine,
-        track_path=machine.track_path + math.hypot(pos[0] - prev[0], pos[1] - prev[1]),
-        track_points=machine.track_points + (pos,),
-    )
-
-    if (
-        machine.track_path >= mission.min_track_path
-        and math.hypot(pos[0] - start[0], pos[1] - start[1]) <= mission.loop_close_radius
-    ):
-        emit(TRACK_CLOSED, f"path {machine.track_path:.2f}")
-        return ascend(machine, closed=Polygon(np.array(machine.track_points)))
-
-    if machine.track_align_yaw is not None:
-        # acquisition: rotate in place onto the boundary heading before
-        # the rate-based follow law takes over
-        if abs(wrap_angle(machine.track_align_yaw - vehicle.yaw)) > 0.25:
-            return machine, _hold(inspect_depth, machine.track_align_yaw), events
-        machine = replace(machine, track_align_yaw=None)
-
-    contour = meadow_boundary(mask)
-    ref = None
-    if contour is not None:
-        ref = boundary_guidance(contour, scenario.camera, scenario.tracking, inspect_depth)
-    if ref is not None:
-        machine = replace(machine, lost_count=0)
-        return machine, ref, events
-
-    lost = machine.lost_count + 1
-    if lost >= mission.boundary_lost_limit:
-        emit(TRACK_LOST, f"path {machine.track_path:.2f}")
-        return ascend(machine)
-
-    machine = replace(machine, lost_count=lost)
-    # boundary visible but not followable from this attitude: stop and
-    # re-align on it; nothing visible at all usually means the frame is
-    # wholly inside the meadow, where straight ahead finds the edge
-    if contour is not None:
-        interior = interior_vertices(contour, scenario.camera, scenario.tracking.border_margin)
-        if interior.shape[0] >= scenario.tracking.min_band_points:
-            align = _boundary_align_yaw(
-                contour, scenario.camera, frame, scenario.tracking.meadow_side
-            )
-            if align is not None:
-                machine = replace(machine, track_align_yaw=align)
-                return machine, _hold(inspect_depth, align), events
-    return machine, GuidanceRef(
-        target_depth=inspect_depth,
-        target_surge=scenario.tracking.track_speed,
-        target_yaw=vehicle.yaw,
-    ), events
+            changes, ref = advance(machine, ctx, mask)
+    return replace(machine, tick=ctx.tick, **changes), ref, ctx.events
 
 
 def run_mission(scenario: Scenario, backend: SegmenterBackend, max_ticks: int) -> MissionLog:

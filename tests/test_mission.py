@@ -1,16 +1,19 @@
 import hashlib
+import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from posidonia_inspect import mission
 from posidonia_inspect.mission import (
     EVENT_KINDS,
     MissionEvent,
     MissionPhase,
     initial_state,
     run_mission,
+    run_tick,
     write_mission_log,
 )
 from posidonia_inspect.presets import (
@@ -21,12 +24,14 @@ from posidonia_inspect.presets import (
     ring_meadow_scenario,
 )
 from posidonia_inspect.segmentation import POSIDONIA, LabelMask
+from posidonia_inspect.vehicle import VehicleState, step
 from posidonia_inspect.world import (
     MissionConfig,
     OracleSegmenter,
     Scenario,
     SeafloorConfig,
     load_scenario,
+    render,
     save_scenario,
 )
 from posidonia_inspect.imaging import WATER_PRESETS
@@ -183,6 +188,42 @@ class TestMissionOutcomes:
         radii = np.hypot(ring.vertices[:, 0] - 60.0, ring.vertices[:, 1] - 78.0)
         assert radii.min() > 14.0
         assert radii.max() < 26.0
+
+
+def state_view(machine) -> tuple:
+    """The machine's fields, its explored map's rings as vertex lists, for ==."""
+    explored = machine.explored
+    rings = tuple(r.vertices.tolist() for r in explored.committed_regions)
+    rest = tuple(getattr(machine, f.name) for f in fields(machine) if f.name != "explored")
+    return rest, explored.alpha, explored.points, rings
+
+
+class TestRunTick:
+    def test_is_pure_and_visits_every_phase(self):
+        # run_mission's loop written out, so each tick's inputs can be replayed
+        scn = one_disk_scenario()
+        backend = OracleSegmenter(scn)
+        (x0, y0), (x1, y1) = scn.waypoints
+        vehicle = VehicleState(x=x0, y=y0, z=scn.mission.survey_depth,
+                               yaw=math.atan2(y1 - y0, x1 - x0))
+        machine = initial_state(scn)
+        ran = []
+        while MissionPhase.COMPLETE not in ran:
+            assert machine.tick < 4000, f"no COMPLETE tick; phases so far {set(ran)}"
+            altitude = scn.seafloor.seabed_depth - vehicle.z
+            frame, _ = render(scn, vehicle.x, vehicle.y, vehicle.yaw, altitude)
+            before = state_view(machine)
+            first = run_tick(machine, vehicle, frame, scn, backend)
+            second = run_tick(machine, vehicle, frame, scn, backend)
+            assert state_view(machine) == before
+            assert state_view(first[0]) == state_view(second[0])
+            assert first[1:] == second[1:]
+            assert first[0].tick == machine.tick + 1
+            ran.append(machine.phase)
+            machine, ref, _ = first
+            vehicle = step(vehicle, ref, scn.vehicle, scn.mission.tick_dt)
+        assert set(ran) == set(MissionPhase)
+        assert set(mission._PHASES) == set(MissionPhase)
 
 
 class TestSafety:

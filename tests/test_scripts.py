@@ -58,6 +58,8 @@ def test_bench_pair_reports_both_sides():
     table = result.stdout.split("ring-track seed 0: 1 parent (HEAD) and 1 change runs")[1]
     for metric in ("mission_s", "ticks_per_s", "setup_s", "peak_rss_mb"):
         assert re.search(rf"^{metric} .* of 1  (ok|worse|unresolved)$", table, re.MULTILINE), table
+    for side in ("parent", "change"):
+        assert re.search(rf"^setup_s {side} runs \(us\): \d+$", table, re.MULTILINE), table
 
 
 @pytest.mark.skipif(not git_checkout(), reason="needs a git checkout with a commit")
