@@ -65,26 +65,23 @@ def _load_scenario_arg(name: str) -> Scenario:
     if not os.path.isfile(name):
         presets = ", ".join(sorted(SCENARIO_PRESETS))
         raise CommandError(f"scenario not found: {name} (no such file; presets: {presets})")
-    try:
-        return load_scenario(name)
-    except (OSError, ValueError) as exc:
-        raise CommandError(str(exc)) from exc
+    return _read(load_scenario, name, "scenario")
 
 
-def _load_image(path: str):
+def _read(reader, path: str, what: str, text: bool = False):
+    """``reader``'s result for the input file at ``path`` (opened as UTF-8 if
+    ``text``); any failure, bad UTF-8 or JSON included, is a CommandError that
+    names the file once: a message that already names it gets no prefix."""
     if not os.path.isfile(path):
-        raise CommandError(f"image not found: {path}")
+        raise CommandError(f"{what} not found: {path}")
     try:
-        return read_pnm(path)
+        if not text:
+            return reader(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            return reader(fh)
     except (OSError, ValueError) as exc:
-        raise CommandError(f"{path}: {exc}") from exc
-
-
-def _load_mask(path: str):
-    try:
-        return read_mask(path)
-    except (OSError, ValueError) as exc:
-        raise CommandError(f"{path}: {exc}") from exc
+        message = str(exc)
+        raise CommandError(message if path in message else f"{path}: {message}") from exc
 
 
 def _out_dir(path: str) -> Path:
@@ -130,7 +127,7 @@ def cmd_survey_run(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    img = _load_image(args.image)
+    img = _read(read_pnm, args.image, "image")
     try:
         report = detect_dark_patches(img, vehicle_depth=args.depth)
     except ValueError as exc:  # a non-finite --depth
@@ -142,7 +139,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_enhance(args) -> int:
-    img = _load_image(args.image)
+    img = _read(read_pnm, args.image, "image")
     try:
         enhanced = enhance_for_rocks(img, args.gamma)
     except ValueError as exc:  # a gamma that is not positive and finite
@@ -184,7 +181,8 @@ def cmd_eval_iou(args) -> int:
             raise CommandError(f"class codes must lie in [0, {NUM_CLASSES - 1}]")
         classes = codes
     pairs = [
-        (_load_mask(os.path.join(args.gt_dir, n)), _load_mask(os.path.join(args.pred_dir, n)))
+        (_read(read_mask, os.path.join(args.gt_dir, n), "mask"),
+         _read(read_mask, os.path.join(args.pred_dir, n), "mask"))
         for n in names
     ]
     try:
@@ -196,13 +194,7 @@ def cmd_eval_iou(args) -> int:
 
 
 def cmd_dataset_masks(args) -> int:
-    if not os.path.isfile(args.annotations):
-        raise CommandError(f"annotations not found: {args.annotations}")
-    try:
-        with open(args.annotations, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CommandError(f"{args.annotations}: {exc}") from exc
+    payload = _read(json.load, args.annotations, "annotations", text=True)
     items = payload if isinstance(payload, list) else [payload]
     try:
         annotations = [parse_annotation(obj) for obj in items]
@@ -219,10 +211,8 @@ def cmd_dataset_masks(args) -> int:
 
 
 def cmd_dataset_split(args) -> int:
-    if not os.path.isfile(args.list):
-        raise CommandError(f"list file not found: {args.list}")
-    with open(args.list, "r", encoding="utf-8") as fh:
-        items = [line.rstrip("\n") for line in fh if line.strip()]
+    lines = _read(list, args.list, "list file", text=True)
+    items = [line.rstrip("\n") for line in lines if line.strip()]
     train_frac, val_frac = _floats(args.fractions, 2, "--fractions")
     try:
         spec = SplitSpec(train_frac, val_frac, seed=args.seed)
@@ -256,25 +246,20 @@ def _sample_ops(rng: np.random.Generator) -> list[tuple]:
 def cmd_dataset_augment(args) -> int:
     if args.seed < 0:
         raise CommandError("--seed must be non-negative")
-    pairs: list[tuple[str, str | None]] = []
+    inputs = []  # every input is read before the first output is written
     for item in args.pairs:
         image_path, sep, mask_path = item.partition(":")
-        pairs.append((image_path, mask_path if sep else None))
-    for image_path, mask_path in pairs:
-        if not os.path.isfile(image_path):
-            raise CommandError(f"image not found: {image_path}")
-        if mask_path is not None and not os.path.isfile(mask_path):
-            raise CommandError(f"mask not found: {mask_path}")
+        inputs.append((Path(image_path).stem, _read(read_pnm, image_path, "image"),
+                       _read(read_mask, mask_path, "mask") if sep else None))
     out = _out_dir(args.out)
     rng = np.random.default_rng(args.seed)
     written = 0
-    for image_path, mask_path in pairs:
+    for stem, image, mask in inputs:
         ops = _sample_ops(rng)
-        stem = Path(image_path).stem
-        write_pnm(augment_image(_load_image(image_path), ops), out / f"{stem}_aug.ppm")
+        write_pnm(augment_image(image, ops), out / f"{stem}_aug.ppm")
         written += 1
-        if mask_path is not None:
-            write_mask(augment_mask(_load_mask(mask_path), ops), out / f"{stem}_aug.pgm")
+        if mask is not None:
+            write_mask(augment_mask(mask, ops), out / f"{stem}_aug.pgm")
             written += 1
         log.info("%s: %s", stem, ops)
     print(f"wrote {written} files")

@@ -29,7 +29,7 @@ import hashlib
 import os
 import struct
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -393,15 +393,16 @@ _SECTIONS = (*_CONFIGS, "waypoints")
 _COLOR_KEYS = ("color_sand", "color_posidonia", "color_debris", "color_rocks")
 
 # every key a section takes, in the order save_scenario writes them, mapped
-# to a default of the type its value parses to: str, an n-tuple of floats,
-# int or float.  The seafloor's label_map and colors are written as the map
-# and color_* keys; water also takes a preset, which is never written.
+# to its default, whose type is the type its value parses to: str, an
+# n-tuple of floats, int or float.  The seafloor's label_map and colors are
+# written as the map and color_* keys; water also takes a preset, which is
+# never written.  The map and preset names have no default and map to "".
 _KEY_DEFAULTS = {
     section: {f.name: f.default for f in fields(cls) if f.name not in ("label_map", "colors")}
     for section, cls in _CONFIGS.items()
 }
 _KEY_DEFAULTS["seafloor"] = {
-    "map": "", **_KEY_DEFAULTS["seafloor"], **dict.fromkeys(_COLOR_KEYS, (0.0, 0.0, 0.0))
+    "map": "", **_KEY_DEFAULTS["seafloor"], **dict(zip(_COLOR_KEYS, DEFAULT_COLORS))
 }
 _KEY_DEFAULTS["water"]["preset"] = ""
 
@@ -416,15 +417,38 @@ def _convert(default, raw: str):
         return tuple(float(p) for p in parts)
     if len(parts) != 1:
         raise ValueError("expected a single value")
-    if isinstance(default, int):
-        return int(parts[0])
-    return float(parts[0])
+    return type(default)(parts[0])  # int or float
+
+
+class _KeyProblem(ValueError):
+    """A key naming a map or preset that cannot be had; reported as '[section] key…'."""
+
+
+def _seafloor(base_dir: str, **kwargs) -> SeafloorConfig:
+    name = kwargs.pop("map", None)
+    if name is None:
+        raise _KeyProblem("map is required")
+    try:
+        label_map = read_mask(os.path.join(base_dir, name))
+    except (OSError, ValueError) as exc:
+        raise _KeyProblem(f"map: {exc}") from exc
+    colors = tuple(kwargs.pop(key, rgb) for key, rgb in zip(_COLOR_KEYS, DEFAULT_COLORS))
+    return SeafloorConfig(label_map, colors=colors, **kwargs)
+
+
+def _water(preset: str | None = None, **kwargs) -> WaterModel:
+    if preset is None:
+        return WaterModel(**kwargs)
+    if preset not in WATER_PRESETS:
+        raise _KeyProblem(f"preset: unknown preset {preset!r}; options are {sorted(WATER_PRESETS)}")
+    return replace(WATER_PRESETS[preset], **kwargs)
 
 
 def parse_scenario_text(text: str, base_dir=".", source: str = "<scenario>") -> Scenario:
-    """Parse the sectioned text format; raises with every problem found."""
+    """Parse the sectioned text format in one pass; raises with every problem
+    found: each line's in line order, then each section's, then cross-field."""
     errors: list[str] = []
-    sections: dict[str, dict[str, tuple[int, str]]] = {}
+    values: dict[str, dict] = {section: {} for section in _KEY_DEFAULTS}
     waypoints: list[tuple[float, float]] = []
     current: str | None = None
 
@@ -433,108 +457,59 @@ def parse_scenario_text(text: str, base_dir=".", source: str = "<scenario>") -> 
         if not line:
             continue
         if line.startswith("["):
-            if not line.endswith("]"):
-                errors.append(f"{source}:{ln}: malformed section header {line!r}")
-                current = None
-                continue
             name = line[1:-1].strip().lower()
-            if name not in _SECTIONS:
-                errors.append(f"{source}:{ln}: unknown section [{name}]")
-                current = None
+            if not line.endswith("]"):
+                problem = f"malformed section header {line!r}"
+            elif name not in _SECTIONS:
+                problem = f"unknown section [{name}]"
+            else:
+                current = name
+                defaults, taken = _KEY_DEFAULTS.get(name), values.get(name)
                 continue
-            current = name
-            sections.setdefault(name, {})
-            continue
-        if current == "waypoints":
-            parts = line.split()
+            current = None
+        elif current == "waypoints":
             try:
-                if len(parts) != 2:
-                    raise ValueError
-                waypoints.append((float(parts[0]), float(parts[1])))
+                x, y = line.split()
+                waypoints.append((float(x), float(y)))
+                continue
             except ValueError:
-                errors.append(f"{source}:{ln}: waypoint lines are two numbers, got {line!r}")
-            continue
-        if current is None:
-            errors.append(f"{source}:{ln}: content outside any [section]")
-            continue
-        key, eq, value = line.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
-        if not eq or not key or not value:
-            errors.append(f"{source}:{ln}: expected 'key = value', got {line!r}")
-            continue
-        if key not in _KEY_DEFAULTS[current]:
-            errors.append(f"{source}:{ln}: unknown key '{key}' in [{current}]")
-            continue
-        if key in sections[current]:
-            errors.append(f"{source}:{ln}: duplicate key '{key}' in [{current}]")
-            continue
-        sections[current][key] = (ln, value)
+                problem = f"waypoint lines are two numbers, got {line!r}"
+        elif current is None:
+            problem = "content outside any [section]"
+        else:
+            key, eq, value = line.partition("=")
+            key = key.strip().lower()
+            value = value.strip()
+            if not eq or not key or not value:
+                problem = f"expected 'key = value', got {line!r}"
+            elif key not in defaults:
+                problem = f"unknown key '{key}' in [{current}]"
+            elif key in taken:
+                problem = f"duplicate key '{key}' in [{current}]"
+            else:
+                try:
+                    taken[key] = _convert(defaults[key], value)
+                    continue
+                except ValueError as exc:
+                    # the key keeps its default: it is taken, and its section
+                    # builds as though the line were absent
+                    taken[key] = defaults[key]
+                    problem = f"[{current}] {key}: {exc}"
+        errors.append(f"{source}:{ln}: {problem}")
 
-    parsed: dict[str, dict] = {}
-    for section, entries in sections.items():
-        if section == "waypoints":
-            continue
-        out = {}
-        for key, (ln, value) in entries.items():
-            try:
-                out[key] = _convert(_KEY_DEFAULTS[section][key], value)
-            except ValueError as exc:
-                errors.append(f"{source}:{ln}: [{section}] {key}: {exc}")
-        parsed[section] = out
-
-    def build(section: str, factory, kwargs):
+    built = {}
+    factories = {**_CONFIGS, "seafloor": partial(_seafloor, base_dir), "water": _water}
+    for section, factory in factories.items():
         try:
-            return factory(**kwargs)
+            built[section] = factory(**values[section])
+        except _KeyProblem as exc:
+            errors.append(f"{source}: [{section}] {exc}")
         except (ValueError, TypeError) as exc:
             errors.append(f"{source}: [{section}]: {exc}")
-            return None
-
-    floor_kwargs = parsed.get("seafloor", {})
-    label_map = None
-    map_name = floor_kwargs.pop("map", None)
-    if map_name is None:
-        errors.append(f"{source}: [seafloor] map is required")
-    else:
-        try:
-            label_map = read_mask(os.path.join(base_dir, map_name))
-        except (OSError, ValueError) as exc:
-            errors.append(f"{source}: [seafloor] map: {exc}")
-    colors = list(DEFAULT_COLORS)
-    for code, key in enumerate(_COLOR_KEYS):
-        if key in floor_kwargs:
-            colors[code] = floor_kwargs.pop(key)
-    seafloor = None
-    if label_map is not None:
-        seafloor = build(
-            "seafloor",
-            SeafloorConfig,
-            dict(label_map=label_map, colors=tuple(colors), **floor_kwargs),
-        )
-
-    water_kwargs = parsed.get("water", {})
-    preset_name = water_kwargs.pop("preset", None)
-    if preset_name is not None and preset_name not in WATER_PRESETS:
-        errors.append(
-            f"{source}: [water] preset: unknown preset {preset_name!r}; "
-            f"options are {sorted(WATER_PRESETS)}"
-        )
-        preset_name = None
-    if preset_name is not None:
-        water = build(
-            "water", lambda **kw: replace(WATER_PRESETS[preset_name], **kw), water_kwargs
-        )
-    else:
-        water = build("water", WaterModel, water_kwargs)
-
-    configs = {
-        section: build(section, _CONFIGS[section], parsed.get(section, {}))
-        for section in ("camera", "detector", "vehicle", "tracking", "mission")
-    }
 
     if not errors:
         try:
-            return Scenario(seafloor=seafloor, water=water, **configs, waypoints=tuple(waypoints))
+            return Scenario(**built, waypoints=tuple(waypoints))
         except ValueError as exc:
             errors.extend(f"{source}: {p}" for p in str(exc).splitlines())
     raise ValueError("\n".join(errors))

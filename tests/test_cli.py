@@ -440,3 +440,107 @@ class TestDatasetAugment:
             capsys,
         )
         assert code == 1
+
+
+class TestInputFiles:
+    """A missing, unreadable, non-UTF-8 or malformed input exits 1 with one
+    ``error:`` line that names the file once."""
+
+    TRUNCATED_PPM = b"P6\n4 4\n255\n\x00"
+    TRUNCATED_PGM = b"P5\n4 4\n3\n\x00"
+
+    def assert_names_once(self, code, out, err, path):
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.count(str(path)) == 1
+
+    @pytest.mark.parametrize("command", ["detect", "enhance"])
+    def test_truncated_image(self, tmp_path, capsys, command):
+        img = tmp_path / "bad.ppm"
+        img.write_bytes(self.TRUNCATED_PPM)
+        out_args = ["--out", str(tmp_path / "o.ppm")] if command == "enhance" else []
+        code, out, err = run_cli([command, str(img), *out_args], capsys)
+        self.assert_names_once(code, out, err, img)
+        assert err == f"error: truncated PNM payload in {img}\n"
+
+    def test_truncated_mask_in_eval_iou(self, tmp_path, capsys):
+        gt, pred = tmp_path / "gt", tmp_path / "pred"
+        gt.mkdir(), pred.mkdir()
+        (gt / "a.pgm").write_bytes(self.TRUNCATED_PGM)
+        (pred / "a.pgm").write_bytes(self.TRUNCATED_PGM)
+        code, out, err = run_cli(["eval-iou", str(gt), str(pred)], capsys)
+        self.assert_names_once(code, out, err, gt / "a.pgm")
+
+    @pytest.mark.parametrize("bad", ["image", "mask"])
+    def test_truncated_input_in_dataset_augment(self, tmp_path, capsys, bad):
+        img, mask = tmp_path / "f.ppm", tmp_path / "f.pgm"
+        img.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
+        mask.write_bytes(b"P5\n1 1\n3\n\x00")
+        (img if bad == "image" else mask).write_bytes(
+            self.TRUNCATED_PPM if bad == "image" else self.TRUNCATED_PGM)
+        code, out, err = run_cli(
+            ["dataset-augment", f"{img}:{mask}", "--out", str(tmp_path / "o")], capsys)
+        self.assert_names_once(code, out, err, img if bad == "image" else mask)
+        assert not (tmp_path / "o").exists()
+
+    def test_non_utf8_list_in_dataset_split(self, tmp_path, capsys):
+        listing = tmp_path / "list.txt"
+        listing.write_bytes(b"a\n\xff\xfe\n")
+        code, out, err = run_cli(["dataset-split", str(listing)], capsys)
+        self.assert_names_once(code, out, err, listing)
+        assert "codec can't decode" in err
+
+    def test_non_utf8_annotations_in_dataset_masks(self, tmp_path, capsys):
+        ann = tmp_path / "ann.json"
+        ann.write_bytes(b'[{"image": "\xff"}]')
+        out_dir = tmp_path / "masks"
+        code, out, err = run_cli(["dataset-masks", str(ann), "--out", str(out_dir)], capsys)
+        self.assert_names_once(code, out, err, ann)
+        assert "codec can't decode" in err
+        assert not out_dir.exists()
+
+    def test_malformed_annotations_in_dataset_masks(self, tmp_path, capsys):
+        ann = tmp_path / "ann.json"
+        ann.write_text("{not json")
+        code, out, err = run_cli(["dataset-masks", str(ann), "--out", str(tmp_path / "m")], capsys)
+        self.assert_names_once(code, out, err, ann)
+        assert err == (f"error: {ann}: Expecting property name enclosed in double quotes: "
+                       "line 1 column 2 (char 1)\n")
+
+    def test_non_utf8_scenario(self, tmp_path, capsys):
+        scn = tmp_path / "bad.scn"
+        scn.write_bytes(b"[seafloor]\nmap = \xff.pgm\n")
+        code, out, err = run_cli(
+            ["survey-run", "--scenario", str(scn), "--out", str(tmp_path / "r")], capsys)
+        self.assert_names_once(code, out, err, scn)
+
+    def test_scenario_map_error_names_both_files(self, tmp_path, capsys):
+        (tmp_path / "cut.pgm").write_bytes(self.TRUNCATED_PGM)
+        scn = tmp_path / "s.scn"
+        scn.write_text("[seafloor]\nmap = cut.pgm\n[waypoints]\n1 1\n")
+        code, _, err = run_cli(
+            ["survey-run", "--scenario", str(scn), "--out", str(tmp_path / "r")], capsys)
+        cut = tmp_path / "cut.pgm"
+        assert code == 1
+        assert err == f"error: {scn}: [seafloor] map: truncated PNM payload in {cut}\n"
+
+    def test_scenario_not_found_lists_the_presets(self, capsys):
+        code, _, err = run_cli(
+            ["survey-run", "--scenario", "/no/such.scn", "--out", "/no/out"], capsys)
+        assert code == 1
+        assert err == (
+            "error: scenario not found: /no/such.scn "
+            "(no such file; presets: blocks, empty, five-patch, ring-meadow)\n"
+        )
+
+    @pytest.mark.parametrize("argv, message", [
+        (["detect", "/no/f.ppm"], "image not found: /no/f.ppm"),
+        (["dataset-split", "/no/l.txt"], "list file not found: /no/l.txt"),
+        (["dataset-masks", "/no/a.json", "--out", "/no/m"], "annotations not found: /no/a.json"),
+        (["dataset-augment", "/no/f.ppm", "--out", "/no/o"], "image not found: /no/f.ppm"),
+    ])
+    def test_missing_file(self, capsys, argv, message):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"

@@ -724,3 +724,109 @@ class TestScenarioText:
         assert "t.scn:9: [mission] seed: expected a single value" in msg
         assert "t.scn:11: [water] attenuation: expected 3 numbers" in msg
         assert "[seafloor]" not in msg
+
+
+class TestScenarioTextErrors:
+    """The exact text of each message parse_scenario_text raises.
+
+    Every file here is the three seafloor lines of ``HEAD``, then the case's
+    lines from line 4 on, then ``TAIL``'s waypoint unless the case brings
+    its own ``[waypoints]`` section.
+    """
+
+    HEAD = "[seafloor]\nmap = floor.pgm\nresolution = 1.0\n"
+    TAIL = "[waypoints]\n5 5\n"
+
+    def parse(self, tmp_path, text):
+        from posidonia_inspect.segmentation import write_mask
+
+        write_mask(checker_map(), tmp_path / "floor.pgm")
+        with pytest.raises(ValueError) as exc:
+            parse_scenario_text(text, base_dir=str(tmp_path), source="bad.scn")
+        return str(exc.value).splitlines()
+
+    @pytest.mark.parametrize("body, message", [
+        ("[camera\n", "bad.scn:4: malformed section header '[camera'"),
+        ("[nosuch]\n", "bad.scn:4: unknown section [nosuch]"),
+        ("[camera]\nwidth\n", "bad.scn:5: expected 'key = value', got 'width'"),
+        ("[camera]\nwidth =\n", "bad.scn:5: expected 'key = value', got 'width ='"),
+        ("[camera]\n= 64\n", "bad.scn:5: expected 'key = value', got '= 64'"),
+        ("[camera]\nzoom = 3\n", "bad.scn:5: unknown key 'zoom' in [camera]"),
+        ("[camera]\nwidth = 64\nwidth = 32\n", "bad.scn:6: duplicate key 'width' in [camera]"),
+        ("[camera]\nwidth = 64\n[mission]\nseed = 1\n[camera]\nwidth = 32\n",
+         "bad.scn:9: duplicate key 'width' in [camera]"),
+        ("[waypoints]\n5 x\n", "bad.scn:5: waypoint lines are two numbers, got '5 x'"),
+        ("[waypoints]\n1 2 3\n", "bad.scn:5: waypoint lines are two numbers, got '1 2 3'"),
+        ("[camera]\nwidth = pizza\n",
+         "bad.scn:5: [camera] width: invalid literal for int() with base 10: 'pizza'"),
+        ("[mission]\ntick_dt = fast\n",
+         "bad.scn:5: [mission] tick_dt: could not convert string to float: 'fast'"),
+        ("[mission]\nseed = 1 2\n", "bad.scn:5: [mission] seed: expected a single value"),
+        ("[water]\nattenuation = 0.1\n", "bad.scn:5: [water] attenuation: expected 3 numbers"),
+        ("[water]\npreset = murky\n",
+         "bad.scn: [water] preset: unknown preset 'murky'; "
+         "options are ['clear', 'coastal', 'turbid']"),
+        ("[camera]\nwidth = 0\n", "bad.scn: [camera]: width must be an integer >= 1, got 0"),
+        ("[vehicle]\nseabed_depth = 10\n",
+         "bad.scn: vehicle.seabed_depth: depth clamp sits above seafloor.seabed_depth"),
+        ("[mission]\nsurvey_depth = 20\n",
+         "bad.scn: mission.survey_depth: leaves no altitude above the seafloor"),
+        ("[mission]\ninspect_altitude = 15\n",
+         "bad.scn: mission.inspect_altitude: must be smaller than seafloor.seabed_depth"),
+        ("[waypoints]\n900 5\n",
+         "bad.scn: waypoints[0]: (900.0, 5.0) is outside the mapped area"),
+    ])
+    def test_single_error_message(self, tmp_path, body, message):
+        tail = "" if "[waypoints]" in body else self.TAIL
+        assert self.parse(tmp_path, self.HEAD + body + tail) == [message]
+
+    def test_content_outside_any_section(self, tmp_path):
+        lines = self.parse(tmp_path, "x = 1\n" + self.HEAD + self.TAIL)
+        assert lines == ["bad.scn:1: content outside any [section]"]
+
+    def test_map_is_required(self, tmp_path):
+        lines = self.parse(tmp_path, "[seafloor]\nresolution = 1.0\n" + self.TAIL)
+        assert lines == ["bad.scn: [seafloor] map is required"]
+
+    def test_missing_map_names_the_map_file(self, tmp_path):
+        text = self.HEAD.replace("floor.pgm", "ghost.pgm") + self.TAIL
+        ghost = tmp_path / "ghost.pgm"
+        assert self.parse(tmp_path, text) == [
+            f"bad.scn: [seafloor] map: [Errno 2] No such file or directory: '{ghost}'"
+        ]
+
+    def test_truncated_map_names_the_map_file(self, tmp_path):
+        (tmp_path / "cut.pgm").write_bytes(b"P5\n4 4\n3\n\x00")
+        text = self.HEAD.replace("floor.pgm", "cut.pgm") + self.TAIL
+        cut = tmp_path / "cut.pgm"
+        assert self.parse(tmp_path, text) == [
+            f"bad.scn: [seafloor] map: truncated PNM payload in {cut}"
+        ]
+
+    def test_no_waypoints(self, tmp_path):
+        lines = self.parse(tmp_path, self.HEAD)
+        assert lines == ["bad.scn: waypoints: at least one waypoint is required"]
+
+    def test_errors_come_in_line_order(self, tmp_path):
+        text = (
+            self.HEAD
+            + "[camera]\n"          # 4
+            "width = pizza\n"       # 5: bad conversion
+            "zoom = 3\n"            # 6: unknown key
+            "width = 64\n"          # 7: duplicate of the unconverted line 5
+            "[mission]\n"           # 8
+            "seed = x\n"            # 9: bad conversion
+            "[nosuch]\n"            # 10: unknown section
+            "[water]\n"             # 11
+            "preset = murky\n"      # 12: reported with the section, after every line
+            + self.TAIL
+        )
+        assert self.parse(tmp_path, text) == [
+            "bad.scn:5: [camera] width: invalid literal for int() with base 10: 'pizza'",
+            "bad.scn:6: unknown key 'zoom' in [camera]",
+            "bad.scn:7: duplicate key 'width' in [camera]",
+            "bad.scn:9: [mission] seed: invalid literal for int() with base 10: 'x'",
+            "bad.scn:10: unknown section [nosuch]",
+            "bad.scn: [water] preset: unknown preset 'murky'; "
+            "options are ['clear', 'coastal', 'turbid']",
+        ]
