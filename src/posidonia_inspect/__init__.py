@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .camera import CameraModel, pixel_to_world
 from .darkpatch import DarkPatchReport, DetectorConfig, detect_dark_patches
-from .dataset import SplitSpec, augment_image, augment_mask, rasterize_annotation, split, split_sizes
+from .dataset import SplitSpec, split, split_sizes
 from .geometry import (
     ExploredMap,
     Polygon,
@@ -59,9 +59,6 @@ __all__ = [
     "DetectorConfig",
     "detect_dark_patches",
     "SplitSpec",
-    "augment_image",
-    "augment_mask",
-    "rasterize_annotation",
     "split",
     "split_sizes",
     "ExploredMap",

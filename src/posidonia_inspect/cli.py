@@ -8,7 +8,6 @@ writes files in the module's native formats.  Exit codes: 0 on success,
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -16,19 +15,9 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .darkpatch import detect_dark_patches, report_lines
-from .dataset import (
-    SplitSpec,
-    augment_image,
-    augment_mask,
-    enhance_for_rocks,
-    parse_annotation,
-    rasterize_annotation,
-    split_sizes,
-)
-from .imaging import read_pnm, write_pnm
+from .dataset import SplitSpec, split, split_sizes
+from .imaging import equalize_histogram, gamma_correct, read_pnm, write_pnm
 from .mission import run_mission, write_mission_log
 from .presets import SCENARIO_PRESETS, gen_lawnmower
 from .segmentation import NUM_CLASSES, BaselineSegmenter, mean_iou, read_mask, write_mask
@@ -70,7 +59,7 @@ def _load_scenario_arg(name: str) -> Scenario:
 
 def _read(reader, path: str, what: str, text: bool = False):
     """``reader``'s result for the input file at ``path`` (opened as UTF-8 if
-    ``text``); any failure, bad UTF-8 or JSON included, is a CommandError that
+    ``text``); any failure, bad UTF-8 included, is a CommandError that
     names the file once: a message that already names it gets no prefix."""
     if not os.path.isfile(path):
         raise CommandError(f"{what} not found: {path}")
@@ -141,7 +130,7 @@ def cmd_detect(args) -> int:
 def cmd_enhance(args) -> int:
     img = _read(read_pnm, args.image, "image")
     try:
-        enhanced = enhance_for_rocks(img, args.gamma)
+        enhanced = gamma_correct(equalize_histogram(img), args.gamma)
     except ValueError as exc:  # a gamma that is not positive and finite
         raise CommandError(str(exc)) from exc
     write_pnm(enhanced, args.out)
@@ -179,6 +168,9 @@ def cmd_eval_iou(args) -> int:
             raise CommandError(f"--classes must be comma-separated integers, got {args.classes!r}") from None
         if any(not 0 <= c < NUM_CLASSES for c in codes):
             raise CommandError(f"class codes must lie in [0, {NUM_CLASSES - 1}]")
+        repeated = sorted({c for c in codes if codes.count(c) > 1})
+        if repeated:
+            raise CommandError(f"--classes repeats class code {', '.join(map(str, repeated))}")
         classes = codes
     pairs = [
         (_read(read_mask, os.path.join(args.gt_dir, n), "mask"),
@@ -193,23 +185,6 @@ def cmd_eval_iou(args) -> int:
     return 0
 
 
-def cmd_dataset_masks(args) -> int:
-    payload = _read(json.load, args.annotations, "annotations", text=True)
-    items = payload if isinstance(payload, list) else [payload]
-    try:
-        annotations = [parse_annotation(obj) for obj in items]
-    except ValueError as exc:
-        raise CommandError(f"{args.annotations}: {exc}") from exc
-    dupes = sorted(name for name, n in Counter(a.image for a in annotations).items() if n > 1)
-    if dupes:
-        raise CommandError(f"{args.annotations}: duplicate image names: {', '.join(dupes)}")
-    out = _out_dir(args.out)
-    for ann in annotations:
-        write_mask(rasterize_annotation(ann), out / f"{ann.image}.pgm")
-    print(f"wrote {len(annotations)} masks")
-    return 0
-
-
 def cmd_dataset_split(args) -> int:
     lines = _read(list, args.list, "list file", text=True)
     items = [line.rstrip("\n") for line in lines if line.strip()]
@@ -221,48 +196,9 @@ def cmd_dataset_split(args) -> int:
     n_train, n_val, n_test = split_sizes(len(items), spec)
     print(f"{n_train} {n_val} {n_test}")
     if args.out:
-        from .dataset import split as split_items
-
         out = _out_dir(args.out)
-        for name, part in zip(("train", "val", "test"), split_items(items, spec)):
+        for name, part in zip(("train", "val", "test"), split(items, spec)):
             (out / f"{name}.txt").write_text("".join(f"{it}\n" for it in part))
-    return 0
-
-
-def _sample_ops(rng: np.random.Generator) -> list[tuple]:
-    ops: list[tuple] = []
-    if rng.random() < 0.5:
-        ops.append(("flip_h",))
-    if rng.random() < 0.5:
-        ops.append(("flip_v",))
-    quarters = int(rng.integers(0, 4))
-    if quarters:
-        ops.append(("rotate90", quarters))
-    if rng.random() < 0.5:
-        ops.append(("zoom_crop", round(float(rng.uniform(0.6, 0.95)), 3)))
-    return ops or [("flip_h",)]
-
-
-def cmd_dataset_augment(args) -> int:
-    if args.seed < 0:
-        raise CommandError("--seed must be non-negative")
-    inputs = []  # every input is read before the first output is written
-    for item in args.pairs:
-        image_path, sep, mask_path = item.partition(":")
-        inputs.append((Path(image_path).stem, _read(read_pnm, image_path, "image"),
-                       _read(read_mask, mask_path, "mask") if sep else None))
-    out = _out_dir(args.out)
-    rng = np.random.default_rng(args.seed)
-    written = 0
-    for stem, image, mask in inputs:
-        ops = _sample_ops(rng)
-        write_pnm(augment_image(image, ops), out / f"{stem}_aug.ppm")
-        written += 1
-        if mask is not None:
-            write_mask(augment_mask(mask, ops), out / f"{stem}_aug.pgm")
-            written += 1
-        log.info("%s: %s", stem, ops)
-    print(f"wrote {written} files")
     return 0
 
 
@@ -321,23 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", default=None, help="comma-separated class codes")
     p.set_defaults(func=cmd_eval_iou)
 
-    p = sub.add_parser("dataset-masks", help="rasterize polygon annotations to PGM masks")
-    p.add_argument("annotations", help="JSON annotation file (object or list)")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_dataset_masks)
-
     p = sub.add_parser("dataset-split", help="deterministic train/val/test split")
     p.add_argument("list", help="text file, one item per line")
     p.add_argument("--fractions", default="0.7,0.2", help="train,val fractions")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write train/val/test lists here")
     p.set_defaults(func=cmd_dataset_split)
-
-    p = sub.add_parser("dataset-augment", help="write seeded augmented copies")
-    p.add_argument("pairs", nargs="+", metavar="IMAGE[:MASK]")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_dataset_augment)
 
     p = sub.add_parser("gen-lawnmower", help="print lawnmower waypoints")
     p.add_argument("--bounds", required=True, help="x0,y0,x1,y1")

@@ -281,6 +281,8 @@ def _read_binary_pnm(path) -> tuple[bytes, int, np.ndarray]:
             elif ch and ch not in b" \t\r\n":
                 tok += ch
             elif tok:
+                if not tok.isdigit():
+                    raise ValueError(f"PNM header token {tok!r} is not a decimal number in {path}")
                 tokens.append(int(tok))
                 tok = b""
             elif not ch:
@@ -288,6 +290,8 @@ def _read_binary_pnm(path) -> tuple[bytes, int, np.ndarray]:
         width, height, maxval = tokens
         if maxval > 255:  # samples would take two bytes each
             raise ValueError(f"unsupported maxval {maxval} in {path}")
+        if min(width, height) < 1:
+            raise ValueError(f"PNM width and height must be positive, got {width}x{height} in {path}")
         channels = 1 if magic == b"P5" else 3
         raw = fh.read(width * height * channels)
         if len(raw) != width * height * channels:
@@ -299,5 +303,5 @@ def read_pnm(path) -> Raster:
     """Read a binary PGM/PPM file with maxval 255 into a raster."""
     _, maxval, arr = _read_binary_pnm(path)
     if maxval != 255:
-        raise ValueError(f"only maxval 255 is supported, got {maxval}")
+        raise ValueError(f"only maxval 255 is supported, got {maxval} in {path}")
     return Raster(arr.astype(np.float64) / 255.0)

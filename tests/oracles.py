@@ -2,7 +2,8 @@
 
 Everything here is written from first principles with a different algorithm
 than the implementation under test: O(n^3) edge-test hull, winding-number
-membership, flood-fill boundary sets, and set-based IoU counting.  The
+membership, a row-vectorised even-odd region mask, flood-fill boundary sets,
+and set-based IoU counting.  The
 rendering references keep the straightforward per-frame formulas (fancy-index
 class lookup, per-pixel noise, last-axis reductions and broadcasting) that the
 library computes with cheaper array shapes; they must agree byte for byte.
@@ -161,6 +162,36 @@ def mean_iou_by_sets(pairs, classes) -> float:
             if (g == cls).any() or (p == cls).any():
                 vals.append(iou_by_sets(g, p, cls))
     return sum(vals) / len(vals) if vals else 1.0
+
+
+_EDGE_TOL = 1e-9
+
+
+def reference_region_mask(pts: np.ndarray, width: int, height: int) -> np.ndarray:
+    """Even-odd interior plus edge pixels for one polygon, as a bool grid."""
+    xx, yy = np.meshgrid(np.arange(width, dtype=float), np.arange(height, dtype=float))
+    inside = np.zeros((height, width), dtype=bool)
+    boundary = np.zeros_like(inside)
+    scale = max(1.0, float(np.abs(pts).max()))
+    n = pts.shape[0]
+    for k in range(n):
+        x1, y1 = pts[k]
+        x2, y2 = pts[(k + 1) % n]
+        # only rows between the edge's end heights cross it, so y2 != y1 there
+        crosses = (y1 > yy) != (y2 > yy)
+        if crosses.any():
+            xi = x1 + (yy[crosses] - y1) * (x2 - x1) / (y2 - y1)
+            inside[crosses] ^= xx[crosses] < xi
+        # distance from pixel centers to the segment
+        ex, ey = x2 - x1, y2 - y1
+        len2 = ex * ex + ey * ey
+        if len2 == 0.0:
+            d2 = (xx - x1) ** 2 + (yy - y1) ** 2
+        else:
+            t = np.clip(((xx - x1) * ex + (yy - y1) * ey) / len2, 0.0, 1.0)
+            d2 = (xx - (x1 + t * ex)) ** 2 + (yy - (y1 + t * ey)) ** 2
+        boundary |= d2 <= (_EDGE_TOL * scale) ** 2
+    return inside | boundary
 
 
 def reference_classes_at(seafloor, wx, wy) -> np.ndarray:

@@ -1,10 +1,14 @@
-import json
+import argparse
 import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from posidonia_inspect.cli import main
+from posidonia_inspect.cli import build_parser, main
+from posidonia_inspect.imaging import Raster, equalize_histogram, gamma_correct, read_pnm, write_pnm
 from posidonia_inspect.presets import empty_scenario
+from posidonia_inspect.segmentation import LabelMask, write_mask
 from posidonia_inspect.world import save_scenario
 
 
@@ -34,6 +38,14 @@ class TestParsing:
         )
         assert code == 1
         assert "--bogus" in err
+
+
+def test_readme_cli_block_lists_every_subcommand():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    documented = [line.split()[1] for line in block.splitlines() if line.startswith("posinspect ")]
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(documented) == sorted(sub.choices)
 
 
 class TestGenLawnmower:
@@ -243,6 +255,15 @@ class TestImagingCommands:
         assert code == 0
         assert out_path.read_bytes().startswith(b"P6")
 
+    @pytest.mark.parametrize("name, channels", [("in.ppm", 3), ("in.pgm", 1)])
+    def test_enhance_is_equalize_then_gamma(self, tmp_path, capsys, name, channels):
+        src, out_path, want_path = tmp_path / name, tmp_path / "out", tmp_path / "want"
+        write_pnm(Raster(np.random.default_rng(4).random((12, 12, channels))), src)
+        code, _, _ = run_cli(["enhance", str(src), "--gamma", "1.5", "--out", str(out_path)], capsys)
+        assert code == 0
+        write_pnm(gamma_correct(equalize_histogram(read_pnm(src)), 1.5), want_path)
+        assert out_path.read_bytes() == want_path.read_bytes()
+
     def test_enhance_rejects_bad_gamma(self, patch_frame, tmp_path, capsys):
         code, _, _ = run_cli(
             ["enhance", str(patch_frame), "--gamma", "-1",
@@ -335,111 +356,16 @@ class TestEvalIou:
         )
         assert code == 1
 
-
-class TestDatasetMasks:
-    ANN = (
-        '[{"image": "x01", "width": 16, "height": 12,'
-        ' "regions": [{"class": 1, "points": [[2, 2], [10, 2], [10, 8], [2, 8]]}]}]'
-    )
-
-    def test_writes_masks(self, tmp_path, capsys):
-        ann = tmp_path / "ann.json"
-        ann.write_text(self.ANN)
-        out_dir = tmp_path / "masks"
-        code, out, _ = run_cli(
-            ["dataset-masks", str(ann), "--out", str(out_dir)], capsys
-        )
-        assert code == 0
-        assert out.strip() == "wrote 1 masks"
-        assert (out_dir / "x01.pgm").read_bytes().startswith(b"P5")
-
-    def test_bad_json(self, tmp_path, capsys):
-        ann = tmp_path / "ann.json"
-        ann.write_text("{not json")
-        code, _, _ = run_cli(
-            ["dataset-masks", str(ann), "--out", str(tmp_path / "m")], capsys
-        )
-        assert code == 1
-
-    @pytest.mark.parametrize("entry", [
-        {"image": "../pe/escaped"},  # a path out of --out
-        {"class": True},
-        {"width": True},
-        {"regions": 5},
-    ], ids=["path-image", "bool-class", "bool-width", "int-regions"])
-    def test_bad_entry_writes_nothing(self, tmp_path, capsys, entry):
-        # the region fits a one-pixel-wide frame, so only the entry is at fault
-        obj = {"image": "x01", "width": 16, "height": 12,
-               "regions": [{"class": 1, "points": [[0, 2], [1, 2], [1, 8]]}]}
-        if "class" in entry:
-            obj["regions"][0].update(entry)
-        else:
-            obj.update(entry)
-        work = tmp_path / "work"
-        work.mkdir()
-        ann = work / "ann.json"
-        ann.write_text(json.dumps([obj]))
-        code, _, err = run_cli(
-            ["dataset-masks", str(ann), "--out", str(work / "masks")], capsys
-        )
-        assert code == 1
-        assert str(ann) in err
-        assert sorted(p.name for p in tmp_path.rglob("*")) == ["ann.json", "work"]
-
-    def test_duplicate_image_names_write_nothing(self, tmp_path, capsys):
-        ann = tmp_path / "ann.json"
-        regions = [{"class": 1, "points": [[0, 0], [3, 0], [3, 3]]}]
-        ann.write_text(json.dumps([
-            {"image": name, "width": 4, "height": 4, "regions": regions}
-            for name in ("a", "b", "a")
-        ]))
-        out_dir = tmp_path / "masks"
-        code, out, err = run_cli(["dataset-masks", str(ann), "--out", str(out_dir)], capsys)
-        assert code == 1
-        assert out == ""
-        assert f"{ann}: duplicate image names: a" in err
-        assert not out_dir.exists()
-
-
-class TestDatasetAugment:
-    def test_deterministic_outputs(self, tmp_path, capsys):
-        img = tmp_path / "f.ppm"
-        run_cli(
-            ["render", "--scenario", "blocks", "--pose", "40,40,0.4,5",
-             "--out", str(img)],
-            capsys,
-        )
-        outs = []
-        for name in ("a", "b"):
-            out_dir = tmp_path / name
-            code, _, _ = run_cli(
-                ["dataset-augment", str(img), "--seed", "7", "--out", str(out_dir)],
-                capsys,
-            )
-            assert code == 0
-            outs.append((out_dir / "f_aug.ppm").read_bytes())
-        assert outs[0] == outs[1]
-
-    def test_negative_seed_is_validation_error(self, tmp_path, capsys):
-        img = tmp_path / "f.ppm"
-        img.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
-        out_dir = tmp_path / "o"
-        code, out, err = run_cli(
-            ["dataset-augment", str(img), "--seed", "-1", "--out", str(out_dir)], capsys
-        )
-        assert code == 1
-        assert "--seed" in err
-        assert out == ""
-        assert not out_dir.exists()
-
-    def test_missing_mask(self, tmp_path, capsys):
-        img = tmp_path / "f.ppm"
-        img.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
-        code, _, _ = run_cli(
-            ["dataset-augment", f"{img}:/no/mask.pgm", "--out", str(tmp_path / "o")],
-            capsys,
-        )
-        assert code == 1
+    def test_repeated_class_code_is_validation_error(self, tmp_path, capsys):
+        gt, pred = tmp_path / "gt", tmp_path / "pred"
+        gt.mkdir(), pred.mkdir()
+        write_mask(LabelMask(np.array([[0, 1]], dtype=np.uint8)), gt / "a.pgm")
+        write_mask(LabelMask(np.array([[1, 1]], dtype=np.uint8)), pred / "a.pgm")
+        assert run_cli(["eval-iou", str(gt), str(pred), "--classes", "0,1"], capsys) == (
+            0, "mean 0.250000\n", "")
+        code, out, err = run_cli(["eval-iou", str(gt), str(pred), "--classes", "0,1,1"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: --classes repeats class code 1\n"
 
 
 class TestInputFiles:
@@ -472,41 +398,12 @@ class TestInputFiles:
         code, out, err = run_cli(["eval-iou", str(gt), str(pred)], capsys)
         self.assert_names_once(code, out, err, gt / "a.pgm")
 
-    @pytest.mark.parametrize("bad", ["image", "mask"])
-    def test_truncated_input_in_dataset_augment(self, tmp_path, capsys, bad):
-        img, mask = tmp_path / "f.ppm", tmp_path / "f.pgm"
-        img.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
-        mask.write_bytes(b"P5\n1 1\n3\n\x00")
-        (img if bad == "image" else mask).write_bytes(
-            self.TRUNCATED_PPM if bad == "image" else self.TRUNCATED_PGM)
-        code, out, err = run_cli(
-            ["dataset-augment", f"{img}:{mask}", "--out", str(tmp_path / "o")], capsys)
-        self.assert_names_once(code, out, err, img if bad == "image" else mask)
-        assert not (tmp_path / "o").exists()
-
     def test_non_utf8_list_in_dataset_split(self, tmp_path, capsys):
         listing = tmp_path / "list.txt"
         listing.write_bytes(b"a\n\xff\xfe\n")
         code, out, err = run_cli(["dataset-split", str(listing)], capsys)
         self.assert_names_once(code, out, err, listing)
         assert "codec can't decode" in err
-
-    def test_non_utf8_annotations_in_dataset_masks(self, tmp_path, capsys):
-        ann = tmp_path / "ann.json"
-        ann.write_bytes(b'[{"image": "\xff"}]')
-        out_dir = tmp_path / "masks"
-        code, out, err = run_cli(["dataset-masks", str(ann), "--out", str(out_dir)], capsys)
-        self.assert_names_once(code, out, err, ann)
-        assert "codec can't decode" in err
-        assert not out_dir.exists()
-
-    def test_malformed_annotations_in_dataset_masks(self, tmp_path, capsys):
-        ann = tmp_path / "ann.json"
-        ann.write_text("{not json")
-        code, out, err = run_cli(["dataset-masks", str(ann), "--out", str(tmp_path / "m")], capsys)
-        self.assert_names_once(code, out, err, ann)
-        assert err == (f"error: {ann}: Expecting property name enclosed in double quotes: "
-                       "line 1 column 2 (char 1)\n")
 
     def test_non_utf8_scenario(self, tmp_path, capsys):
         scn = tmp_path / "bad.scn"
@@ -537,8 +434,6 @@ class TestInputFiles:
     @pytest.mark.parametrize("argv, message", [
         (["detect", "/no/f.ppm"], "image not found: /no/f.ppm"),
         (["dataset-split", "/no/l.txt"], "list file not found: /no/l.txt"),
-        (["dataset-masks", "/no/a.json", "--out", "/no/m"], "annotations not found: /no/a.json"),
-        (["dataset-augment", "/no/f.ppm", "--out", "/no/o"], "image not found: /no/f.ppm"),
     ])
     def test_missing_file(self, capsys, argv, message):
         code, out, err = run_cli(argv, capsys)

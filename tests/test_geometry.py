@@ -211,6 +211,26 @@ class TestPointInRegion:
         want = oracles.winding_inside(query, hull.vertices)
         assert got == want
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pts=st.lists(
+            st.tuples(st.floats(0.0, 7.0), st.floats(0.0, 7.0)),
+            min_size=3,
+            max_size=6,
+        )
+    )
+    def test_matches_region_mask_oracle(self, pts):
+        arr = np.asarray(pts, dtype=float)
+        try:
+            poly = Polygon(arr)
+        except ValueError:
+            return
+        mask = oracles.reference_region_mask(arr, 8, 8)
+        for row in range(8):
+            for col in range(8):
+                want = point_in_region((float(col), float(row)), [poly])
+                assert bool(mask[row, col]) == want, (col, row)
+
 
 class TestExploredMap:
     def test_single_dive_covers_square(self):

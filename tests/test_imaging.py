@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -330,6 +331,26 @@ class TestPnm:
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n4 4\n255\n\x00\x00")
         with pytest.raises(ValueError):
+            read_pnm(path)
+
+    @pytest.mark.parametrize("header", [b"P6\n0 0\n255\n", b"P5\n3 0\n255\n", b"P5\n0 2\n255\n"])
+    def test_rejects_zero_size_naming_the_file(self, tmp_path, header):
+        path = tmp_path / "z.pnm"
+        path.write_bytes(header)
+        with pytest.raises(ValueError, match=f"must be positive, got .* in {re.escape(str(path))}$"):
+            read_pnm(path)
+
+    @pytest.mark.parametrize("header", [b"P5\n-1 -1\n255\n\x00", b"P5\nab 2\n255\n"])
+    def test_rejects_non_decimal_header_token_naming_the_file(self, tmp_path, header):
+        path = tmp_path / "t.pgm"
+        path.write_bytes(header)
+        with pytest.raises(ValueError, match=f"not a decimal number in {re.escape(str(path))}$"):
+            read_pnm(path)
+
+    def test_rejects_maxval_other_than_255_naming_the_file(self, tmp_path):
+        path = tmp_path / "m100.ppm"
+        path.write_bytes(b"P6\n1 1\n100\n\x00\x00\x00")
+        with pytest.raises(ValueError, match=f"got 100 in {re.escape(str(path))}$"):
             read_pnm(path)
 
 

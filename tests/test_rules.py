@@ -13,7 +13,7 @@ import pytest
 
 from posidonia_inspect.camera import CameraModel, pixel_grid_world, pixel_to_local
 from posidonia_inspect.darkpatch import DetectorConfig
-from posidonia_inspect.dataset import AnnotatedRegion, ImageAnnotation, SplitSpec
+from posidonia_inspect.dataset import SplitSpec
 from posidonia_inspect.geometry import ExploredMap, alpha_shape
 from posidonia_inspect.imaging import Raster, WaterModel, gamma_correct, water_factors
 from posidonia_inspect.mission import run_mission
@@ -69,14 +69,6 @@ def guidance_rate(**kw):
     return GuidanceRef(**{"target_depth": 1.0, "target_surge": 0.5, "target_yaw_rate": 0.0, **kw})
 
 
-def region(**kw):
-    return AnnotatedRegion(**{"class_code": 1, "points": TRIANGLE, **kw})
-
-
-def annotation(**kw):
-    return ImageAnnotation(**{"image": "img01", "width": 4, "height": 4, "regions": (), **kw})
-
-
 def explored(**kw):
     return ExploredMap(**{"alpha": 1.0, **kw})
 
@@ -124,9 +116,6 @@ FIELDS = [
     (seafloor, "resolution", number(0, lo_open=True)),
     (seafloor, "seabed_depth", number(0, lo_open=True)),
     (seafloor, "noise_amplitude", number(0, 0.5)),
-    (region, "class_code", integer(0, 4)),
-    (annotation, "width", integer(1)),
-    (annotation, "height", integer(1)),
 ]
 
 

@@ -803,6 +803,14 @@ class TestScenarioTextErrors:
             f"bad.scn: [seafloor] map: truncated PNM payload in {cut}"
         ]
 
+    def test_zero_size_map_names_the_map_file(self, tmp_path):
+        (tmp_path / "zero.pgm").write_bytes(b"P5\n0 0\n3\n")
+        text = self.HEAD.replace("floor.pgm", "zero.pgm") + self.TAIL
+        zero = tmp_path / "zero.pgm"
+        assert self.parse(tmp_path, text) == [
+            f"bad.scn: [seafloor] map: PNM width and height must be positive, got 0x0 in {zero}"
+        ]
+
     def test_no_waypoints(self, tmp_path):
         lines = self.parse(tmp_path, self.HEAD)
         assert lines == ["bad.scn: waypoints: at least one waypoint is required"]
