@@ -115,6 +115,34 @@ class TestDatasetSplit:
         assert code == 1
         assert "/no/such/list.txt" in err
 
+    @pytest.mark.parametrize("fractions, message", [
+        ("0.7", "--fractions needs 2 values, got 1"),
+        ("0.7,0.2,0.1", "--fractions needs 2 values, got 3"),
+        ("a,b", "--fractions must be numeric, got 'a,b'"),
+        ("nan,0.2", "train_fraction must be a finite number in [0, 1], got nan"),
+        ("0.7,inf", "val_fraction must be a finite number in [0, 1], got inf"),
+        ("-0.1,0.2", "train_fraction must be a finite number in [0, 1], got -0.1"),
+        ("1.5,0", "train_fraction must be a finite number in [0, 1], got 1.5"),
+        ("0.6,0.5", "train and val fractions must not exceed 1 combined"),
+    ])
+    def test_fractions_are_validated_before_any_output(self, tmp_path, capsys, fractions, message):
+        listing = tmp_path / "list.txt"
+        listing.write_text("a\nb\n")
+        out_dir = tmp_path / "ds"
+        code, out, err = run_cli(
+            ["dataset-split", str(listing), f"--fractions={fractions}", "--out", str(out_dir)], capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not out_dir.exists()
+
+    def test_blank_lines_are_not_items(self, tmp_path, capsys):
+        listing = tmp_path / "list.txt"
+        listing.write_text("\n  \n\t\n")
+        out_dir = tmp_path / "ds"
+        code, out, _ = run_cli(["dataset-split", str(listing), "--out", str(out_dir)], capsys)
+        assert (code, out) == (0, "0 0 0\n")
+        assert sorted(p.name for p in out_dir.iterdir()) == ["test.txt", "train.txt", "val.txt"]
+        assert all(p.read_text() == "" for p in out_dir.iterdir())
+
     def test_bad_fractions(self, tmp_path, capsys):
         listing = tmp_path / "list.txt"
         listing.write_text("a\nb\n")
@@ -263,6 +291,16 @@ class TestImagingCommands:
         assert code == 0
         write_pnm(gamma_correct(equalize_histogram(read_pnm(src)), 1.5), want_path)
         assert out_path.read_bytes() == want_path.read_bytes()
+
+    @pytest.mark.parametrize("gamma", ["0", "-0.5", "nan", "inf", "-inf"])
+    def test_enhance_rejects_gamma_that_is_not_positive_and_finite(
+            self, patch_frame, tmp_path, capsys, gamma):
+        out_path = tmp_path / "x.ppm"
+        code, out, err = run_cli(
+            ["enhance", str(patch_frame), f"--gamma={gamma}", "--out", str(out_path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: gamma must be a finite number > 0")
+        assert not out_path.exists()
 
     def test_enhance_rejects_bad_gamma(self, patch_frame, tmp_path, capsys):
         code, _, _ = run_cli(
@@ -430,6 +468,39 @@ class TestInputFiles:
             "error: scenario not found: /no/such.scn "
             "(no such file; presets: blocks, empty, five-patch, ring-meadow)\n"
         )
+
+    # every message of the shared PNM parser already names the file, and
+    # read_pnm's maxval message does too, so none gets the path prefix
+    @pytest.mark.parametrize("data, message", [
+        (b"P3\n1 1\n255\n0 0 0\n", "unsupported PNM magic b'P3' in {}"),
+        (b"P6\n4 4", "truncated PNM header in {}"),
+        (b"P6\n4 x4\n255\n", "PNM header token b'x4' is not a decimal number in {}"),
+        (b"P6\n1 1\n65535\n", "unsupported maxval 65535 in {}"),
+        (b"P6\n0 0\n255\n", "PNM width and height must be positive, got 0x0 in {}"),
+        (b"P6\n1 1\n100\n\x00\x00\x00", "only maxval 255 is supported, got 100 in {}"),
+    ])
+    def test_malformed_image_in_enhance(self, tmp_path, capsys, data, message):
+        img = tmp_path / "bad.ppm"
+        img.write_bytes(data)
+        code, out, err = run_cli(["enhance", str(img), "--out", str(tmp_path / "o.ppm")], capsys)
+        self.assert_names_once(code, out, err, img)
+        assert err == f"error: {message.format(img)}\n"
+        assert not (tmp_path / "o.ppm").exists()
+
+    @pytest.mark.parametrize("data, message", [
+        (b"P6\n1 1\n255\n\x00\x00\x00", "mask files are PGM (P5), got magic b'P6' in {}"),
+        (b"P5\n2 1\n255\n\x01\x09", "mask {} holds codes above 3"),
+        (b"P5\n0 1\n3\n", "PNM width and height must be positive, got 0x1 in {}"),
+        (b"P5\n1 1\n256\n\x00", "unsupported maxval 256 in {}"),
+    ])
+    def test_malformed_mask_in_eval_iou(self, tmp_path, capsys, data, message):
+        gt, pred = tmp_path / "gt", tmp_path / "pred"
+        gt.mkdir(), pred.mkdir()
+        (gt / "a.pgm").write_bytes(data)
+        write_mask(LabelMask(np.zeros((1, 2), dtype=np.uint8)), pred / "a.pgm")
+        code, out, err = run_cli(["eval-iou", str(gt), str(pred)], capsys)
+        self.assert_names_once(code, out, err, gt / "a.pgm")
+        assert err == f"error: {message.format(gt / 'a.pgm')}\n"
 
     @pytest.mark.parametrize("argv, message", [
         (["detect", "/no/f.ppm"], "image not found: /no/f.ppm"),

@@ -21,7 +21,7 @@ from posidonia_inspect.imaging import (
     to_hsv,
     write_pnm,
 )
-from posidonia_inspect.segmentation import POSIDONIA
+from posidonia_inspect.segmentation import POSIDONIA, read_mask
 
 
 def gray(values) -> Raster:
@@ -102,6 +102,23 @@ class TestToHsv:
     def test_requires_three_channels(self):
         with pytest.raises(ValueError):
             to_hsv(gray([[0.5]]))
+
+    @pytest.mark.parametrize("hsv, want", [
+        ((0.0, 1.0, 1.0), (1.0, 0.0, 0.0)),
+        ((30.0, 1.0, 1.0), (1.0, 0.5, 0.0)),
+        ((60.0, 1.0, 1.0), (1.0, 1.0, 0.0)),
+        ((120.0, 1.0, 1.0), (0.0, 1.0, 0.0)),
+        ((180.0, 1.0, 1.0), (0.0, 1.0, 1.0)),
+        ((240.0, 1.0, 1.0), (0.0, 0.0, 1.0)),
+        ((300.0, 1.0, 1.0), (1.0, 0.0, 1.0)),
+        ((360.0, 1.0, 1.0), (1.0, 0.0, 0.0)),
+        ((0.0, 0.5, 1.0), (1.0, 0.5, 0.5)),
+        ((200.0, 0.0, 0.4), (0.4, 0.4, 0.4)),
+        ((90.0, 1.0, 0.0), (0.0, 0.0, 0.0)),
+    ])
+    def test_hsv_to_rgb_of_known_colors(self, hsv, want):
+        hue, sat, val = (np.array([[v]]) for v in hsv)
+        assert np.allclose(hsv_to_rgb(hue, sat, val).data[0, 0], want, atol=1e-12)
 
     @given(small_images(channels=3))
     @settings(max_examples=60)
@@ -352,6 +369,74 @@ class TestPnm:
         path.write_bytes(b"P6\n1 1\n100\n\x00\x00\x00")
         with pytest.raises(ValueError, match=f"got 100 in {re.escape(str(path))}$"):
             read_pnm(path)
+
+    @pytest.mark.parametrize("maxval", [0, 1, 3, 254])
+    def test_read_pnm_takes_only_maxval_255(self, tmp_path, maxval):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n1 1\n%d\n\x00" % maxval)
+        with pytest.raises(ValueError, match=f"got {maxval} in {re.escape(str(path))}$"):
+            read_pnm(path)
+
+    # (file bytes, start of the message): each fails the header or payload
+    # parser that read_pnm and read_mask share
+    MALFORMED = {
+        "empty": (b"", "unsupported PNM magic b''"),
+        "one-byte": (b"P", "unsupported PNM magic b'P'"),
+        "ascii-pgm": (b"P2\n1 1\n255\n0\n", "unsupported PNM magic b'P2'"),
+        "ascii-ppm": (b"P3\n1 1\n255\n0 0 0\n", "unsupported PNM magic b'P3'"),
+        "bitmap": (b"P4\n8 1\n\x00", "unsupported PNM magic b'P4'"),
+        "magic-only": (b"P5", "truncated PNM header"),
+        "width-only": (b"P5\n4", "truncated PNM header"),
+        "no-maxval": (b"P6\n4 4\n", "truncated PNM header"),
+        "comment-to-end": (b"P5\n# no size follows", "truncated PNM header"),
+        "no-payload": (b"P5\n2 2\n255\n", "truncated PNM payload"),
+        "short-gray-payload": (b"P5\n2 2\n255\n\x00\x00\x00", "truncated PNM payload"),
+        "short-color-payload": (b"P6\n1 1\n255\n\x00\x00", "truncated PNM payload"),
+        "two-byte-maxval": (b"P5\n1 1\n256\n\x00\x00", "unsupported maxval 256"),
+        "16-bit-maxval": (b"P5\n1 1\n65535\n\x00\x00", "unsupported maxval 65535"),
+        "zero-width": (b"P6\n0 3\n255\n", "PNM width and height must be positive, got 0x3"),
+        "zero-height": (b"P5\n5 0\n3\n", "PNM width and height must be positive, got 5x0"),
+        "signed-token": (b"P5\n+2 1\n255\n\x00\x00", "PNM header token b'+2' is not"),
+        "fractional-token": (b"P5\n1.5 1\n255\n\x00", "PNM header token b'1.5' is not"),
+        "hex-maxval": (b"P5\n1 1\n0xff\n\x00", "PNM header token b'0xff' is not"),
+        "comment-inside-token": (b"P5\n1# c\n1 255\n\x00", "PNM header token b'1#' is not"),
+        "non-ascii-token": (b"P5\n\xd9\xa1 1\n255\n\x00", "PNM header token b'\\xd9\\xa1' is not"),
+    }
+
+    @pytest.mark.parametrize("reader", [read_pnm, read_mask])
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_rejects_malformed_file_naming_it(self, tmp_path, reader, case):
+        data, message = self.MALFORMED[case]
+        path = tmp_path / "bad.pnm"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as info:
+            reader(path)
+        assert str(info.value).startswith(message)
+        assert str(info.value).endswith(f" in {path}")
+
+    # the header's tokens are separated by any run of whitespace and
+    # comments; the maxval ends with exactly one whitespace byte
+    @pytest.mark.parametrize("header", [
+        b"P5\n2 1\n255\n",
+        b"P5 2 1 255 ",
+        b"P5\t2\t1\t255\t",
+        b"P5\r\n2\r\n1\r\n255\r",
+        b"P5\n\n  2   \n\n 1\n255\n",
+        b"P5\n# after the magic\n2 1\n255\n",
+        b"P5\n2 # after the width\n1\n255\n",
+        b"P5\n2 1\n# before the maxval\n#\n255\n",
+        b"P5\n0002 001\n0255\n",
+    ], ids=["newlines", "spaces", "tabs", "crlf", "runs", "comment-1", "comment-2",
+            "comment-3", "leading-zeros"])
+    def test_header_layouts_read_alike(self, tmp_path, header):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(header + bytes([0, 255]))
+        assert read_pnm(path).data.tolist() == [[[0.0], [1.0]]]
+
+    def test_payload_bytes_that_look_like_whitespace_are_samples(self, tmp_path):
+        path = tmp_path / "w.pgm"
+        path.write_bytes(b"P5\n3 1\n255\n\n #")
+        assert read_pnm(path).data.ravel().tolist() == [10 / 255, 32 / 255, 35 / 255]
 
 
 class TestWaterModel:
